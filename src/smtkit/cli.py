@@ -36,13 +36,12 @@ from .pluecker import (
 )
 from .rootdata import Weight, is_classical_type, parse_cartan_type
 from .smt import StandardContext, make_union
-from .weyl import WeylGroup, enumerate_weyl, format_word, parse_word
+from .weyl import DEFAULT_ORDER_CAP, WeylGroup, enumerate_weyl, format_word, parse_word
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-DEFAULT_GROUP_CAP = 50_000
 DEFAULT_DEGREE_CAP = 4
 
 
@@ -326,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("admissible", help="enumerate admissible pairs and verify counts")
     pa.add_argument("--type", required=True)
     pa.add_argument("--weight", required=True)
-    pa.add_argument("--cap", type=int, default=DEFAULT_GROUP_CAP)
+    pa.add_argument("--cap", type=int, default=DEFAULT_ORDER_CAP)
     pa.add_argument("--json", action="store_true")
     pa.set_defaults(func=cmd_admissible)
 
@@ -338,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--union", default=None)
     ps.add_argument("--verify-count", action="store_true")
     ps.add_argument("--verify-filtration", action="store_true")
-    ps.add_argument("--cap", type=int, default=DEFAULT_GROUP_CAP)
+    ps.add_argument("--cap", type=int, default=DEFAULT_ORDER_CAP)
     ps.add_argument("--json", action="store_true")
     ps.set_defaults(func=cmd_smt)
 

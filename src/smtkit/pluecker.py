@@ -412,8 +412,9 @@ def verify_hodge_iii(
     """
     I = _check_index(I, r, n)
     chains = standard_monomials_grassmann(r, n, m)
-    on_X = [ch for ch in chains if m == 0 or index_leq(ch[-1], I)]
-    off_X = [ch for ch in chains if ch not in on_X]
+    on_X, off_X = [], []
+    for ch in chains:
+        (on_X if m == 0 or index_leq(ch[-1], I) else off_X).append(ch)
     k = len(on_X)
     if num_samples is None:
         num_samples = 2 * k + 4

@@ -78,11 +78,10 @@ def schubert_divisors(quot: ParabolicQuotient, w: WeylElement) -> list[DivisorSt
     """All covering co-relations v < w inside W^P, each with its root."""
     if w not in quot:
         raise ValueError("w must be a minimal coset representative")
-    out = []
-    for v in quot.of_length(w.length - 1):
-        if quot.leq(v, w):
-            out.append(DivisorStep(parent=w, child=v, beta=_cover_root(quot, v, w)))
-    return out
+    return [
+        DivisorStep(parent=w, child=v, beta=_cover_root(quot, v, w))
+        for v in quot.covers(w)
+    ]
 
 
 def is_cover(quot: ParabolicQuotient, v: WeylElement, w: WeylElement) -> bool:
@@ -168,8 +167,7 @@ def extremal_restricts_nonzero(
 
     True iff some lift x in W^P of x_class satisfies v <= x <= w.
     """
-    g = quot_p.group
     for x in quot_p.min_reps:
-        if quot_lam.project(x) == x_class and g.leq(pair.v, x) and g.leq(x, pair.w):
+        if quot_lam.project(x) == x_class and quot_p.leq(pair.v, x) and quot_p.leq(x, pair.w):
             return True
     return False

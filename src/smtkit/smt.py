@@ -127,11 +127,11 @@ class StandardContext:
         cands = [
             x
             for x in self._lifts[factor_index].get(x_class, ())
-            if self.group.leq(base, x)
+            if self.quot.leq(base, x)
         ]
         if not cands:
             return None
-        return unique_extremal(self.group, cands, want_max=False)
+        return unique_extremal(self.quot, cands, want_max=False)
 
     def certify(self, factors, pair: RichardsonPair) -> tuple[WeylElement, ...] | None:
         """Greedy interleaved lifts from below; None when not standard."""
@@ -150,7 +150,7 @@ class StandardContext:
                 return None
             lifts.extend((a, b))
             cur = b
-        if not self.group.leq(cur, pair.w):
+        if not self.quot.leq(cur, pair.w):
             return None
         return tuple(lifts)
 

@@ -1,29 +1,44 @@
 """Weyl groups, Bruhat order, parabolic quotients, and Deodhar lifts.
 
-An element is identified by its action matrix on the weight lattice in the
-fundamental-weight basis (reduced words are not unique, matrices are).  The
-whole group is enumerated once by breadth-first search from the identity, so
-every element carries its length and the lexicographically least reduced word
-("shortlex" BFS visits words in exactly that order).
+Every element of W carries an integer id, its position in a breadth-first
+enumeration from the identity.  The enumeration visits words in shortlex
+order, so each element also carries its length and its lexicographically
+least reduced word.  Its action matrix on the weight lattice (fundamental-
+weight basis) is what identifies it: equality and hashing go by the matrix,
+so equal elements of two separately built groups of one type agree, and
+``WeylGroup.index`` maps a matrix back to its id.
 
-Bruhat order uses the length-recursive criterion
+The search runs on orbit points, which cost O(n) a step: it walks the
+inverses y = x^-1 by left multiplication, s_j y(rho) = y(rho) - c alpha_j
+with c the j-th coordinate of y(rho), and meets the x's in the same order
+as a right search would.  Only a new element gets a matrix: x s_j is x with
+column j rewritten to col_j - x(alpha_j).  After the search every query is
+a table lookup: right multiplication by s_j is ``rmult``, inverses come
+from folding ``rmult`` over reversed words, left multiplication is
+s_j x = (x^-1 s_j)^-1, and products fold ``rmult`` over a word.  No matrix
+product is ever taken.
 
-    x <= y  iff  min(x, s x) <= s y    for any left descent s of y,
-
-memoised per group; the exponential subword test is kept alongside as an
+Bruhat order is read off W-orbits.  A parabolic quotient W^P is indexed by
+the orbit points y(rho_P), rho_P = sum of the omega_i with i not in P, which
+are distinct for distinct y in W^P.  For a positive root beta with
+c = <y(rho_P), beta^vee> < 0, the point y(rho_P) - c beta = s_beta y(rho_P)
+names the coset of s_beta y; when its representative has length l(y) - 1 it
+is a lower cover of y, and every cover arises this way.  W^P is graded, so
+the order ideal below y is bit(y) OR the ideals of its covers: one Python
+int per element, built bottom-up, and ``leq`` is a single bit test.
+``WeylGroup.leq`` is the test of the Borel quotient (rho_P = rho), built on
+first use.  The exponential subword test is kept alongside as an
 independent cross-check for the test suite.
 
-Parabolic quotients store the minimal coset representatives W^P sorted by
-(length, word).  The Deodhar lifts ("lambda-maximal in w" / "lambda-minimal
-on w") are computed by brute-force scan over the lifts of a coset, asserting
-uniqueness of the extremal element; a failure of that uniqueness would
-contradict Deodhar's lemma and raises immediately.
+The Deodhar lifts ("lambda-maximal in w" / "lambda-minimal on w") are
+computed by brute-force scan over the lifts of a coset, asserting uniqueness
+of the extremal element; a failure of that uniqueness would contradict
+Deodhar's lemma and raises immediately.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .rootdata import Root, RootSystem, Weight
 
@@ -48,19 +63,28 @@ Matrix = tuple[tuple[int, ...], ...]
 DEFAULT_ORDER_CAP = 50_000
 
 
-@dataclass(frozen=True)
 class WeylElement:
-    """A Weyl group element: weight-lattice action, length, canonical word."""
+    """A Weyl group element: weight-lattice action, length, canonical word,
+    and its id (position) in the group that enumerated it."""
 
-    action: Matrix
-    length: int
-    word: tuple[int, ...]
+    __slots__ = ("action", "length", "word", "id", "_hash")
+
+    def __init__(self, action: Matrix, length: int, word: tuple[int, ...], id: int = 0):
+        self.action = action
+        self.length = length
+        self.word = word
+        self.id = id
+        self._hash = hash(action)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, WeylElement) and self.action == other.action
+        return self is other or (
+            isinstance(other, WeylElement)
+            and self._hash == other._hash
+            and self.action == other.action
+        )
 
     def __hash__(self) -> int:
-        return hash(self.action)
+        return self._hash
 
     @property
     def canonical_word(self) -> tuple[int, ...]:
@@ -102,16 +126,8 @@ def parse_word(text: str, rank: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
 class WeylGroup:
-    """A fully enumerated finite Weyl group with order and descent tables."""
+    """A fully enumerated finite Weyl group with multiplication tables."""
 
     def __init__(self, rs: RootSystem, order_cap: int = DEFAULT_ORDER_CAP):
         self.rs = rs
@@ -119,53 +135,70 @@ class WeylGroup:
         ident: Matrix = tuple(
             tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
         )
-        simple_mats = [rs.reflection_weight_matrix(a) for a in rs.simple_roots]
+        # alpha_j in weight coordinates is column j of the Cartan matrix
+        alphas = [tuple(rs.cartan[k][j] for k in range(n)) for j in range(n)]
 
-        elements: list[WeylElement] = [WeylElement(ident, 0, ())]
-        index: dict[Matrix, int] = {ident: 0}
+        # Breadth-first search over the inverses y = x^-1, keyed by the orbit
+        # point y(rho): s_j y(rho) = y(rho) - c alpha_j, with c the j-th
+        # coordinate of y(rho), so a step costs O(n) and builds no matrix.
+        # As (x s_j)^-1 = s_j y, the search meets the x's in the shortlex
+        # order of their words, and its table is rmult.
+        elements: list[WeylElement] = [WeylElement(ident, 0, (), 0)]
+        points: dict[tuple[int, ...], int] = {(1,) * n: 0}
+        orbit = [(1,) * n]
         rmult: list[list[int]] = []
-        queue = [0]
-        while queue:
-            nxt: list[int] = []
-            for ei in queue:
-                el = elements[ei]
-                row = []
-                for j in range(n):
-                    m2 = _mat_mul(el.action, simple_mats[j])
-                    k = index.get(m2)
-                    if k is None:
-                        k = len(elements)
-                        if k >= order_cap:
-                            raise ValueError(
-                                f"group order exceeds cap {order_cap} for {rs.cartan_type}"
-                            )
-                        elements.append(WeylElement(m2, el.length + 1, el.word + (j,)))
-                        index[m2] = k
-                        nxt.append(k)
-                    row.append(k)
-                rmult.append(row)
-            queue = nxt
+        for el in elements:  # grows while it is walked: breadth-first order
+            p = orbit[el.id]
+            row = []
+            for j, alpha in enumerate(alphas):
+                c = p[j]
+                p2 = tuple(a - c * b for a, b in zip(p, alpha))
+                k = points.get(p2)
+                if k is None:
+                    k = len(elements)
+                    if k >= order_cap:
+                        raise ValueError(
+                            f"group order exceeds cap {order_cap} for {rs.cartan_type}"
+                        )
+                    # x s_j rewrites column j of x to col_j - x(alpha_j)
+                    m2 = tuple(
+                        r[:j] + (r[j] - sum(a * b for a, b in zip(r, alpha)),) + r[j + 1:]
+                        for r in el.action
+                    )
+                    elements.append(WeylElement(m2, el.length + 1, el.word + (j,), k))
+                    points[p2] = k
+                    orbit.append(p2)
+                row.append(k)
+            rmult.append(row)
 
         self.elements: tuple[WeylElement, ...] = tuple(elements)
-        self.index = index
+        self.index: dict[Matrix, int] = {x.action: x.id for x in elements}
         self.rank = n
         self.identity = elements[0]
-        self.simple = tuple(elements[index[m]] for m in simple_mats)
+        self.simple = tuple(elements[rmult[0][j]] for j in range(n))
         self.rmult = rmult
+        inverse = []
+        for x in elements:
+            k = 0
+            for j in reversed(x.word):
+                k = rmult[k][j]
+            inverse.append(k)
+        self._inverse = inverse
+        # s_j x = (x^-1 s_j)^-1
         self.lmult = [
-            [index[_mat_mul(simple_mats[j], el.action)] for j in range(n)]
-            for el in elements
+            [inverse[rmult[inverse[i]][j]] for j in range(n)]
+            for i in range(len(elements))
         ]
         top_len = max(el.length for el in elements)
         longest = [el for el in elements if el.length == top_len]
         assert len(longest) == 1, "longest element is not unique"
         self.w_o = longest[0]
 
-        # s_beta action matrix -> beta, for recovering the reflection of a cover
+        # id of s_beta -> beta, for recovering the reflection of a cover
         self._reflections = {
-            rs.reflection_weight_matrix(b): b for b in rs.positive_roots
+            self.index[rs.reflection_weight_matrix(b)]: b for b in rs.positive_roots
         }
-        self._leq_memo: dict[tuple[Matrix, Matrix], bool] = {}
+        self._borel: ParabolicQuotient | None = None
 
     # -- basic group operations ------------------------------------------
 
@@ -176,13 +209,21 @@ class WeylGroup:
         return self.elements[i]
 
     def idx(self, x: WeylElement) -> int:
+        i = x.id
+        els = self.elements
+        if i < len(els) and els[i] is x:
+            return i
         return self.index[x.action]
 
     def mul(self, x: WeylElement, y: WeylElement) -> WeylElement:
-        return self.elements[self.index[_mat_mul(x.action, y.action)]]
+        k = self.idx(x)
+        rmult = self.rmult
+        for j in y.word:
+            k = rmult[k][j]
+        return self.elements[k]
 
     def inv(self, x: WeylElement) -> WeylElement:
-        return self.from_word(reversed(x.word))
+        return self.elements[self._inverse[self.idx(x)]]
 
     def rmul_s(self, x: WeylElement, j: int) -> WeylElement:
         return self.elements[self.rmult[self.idx(x)][j]]
@@ -191,10 +232,11 @@ class WeylGroup:
         return self.elements[self.lmult[self.idx(x)][j]]
 
     def from_word(self, word) -> WeylElement:
-        el = self.identity
+        k = 0
+        rmult = self.rmult
         for j in word:
-            el = self.rmul_s(el, j)
-        return el
+            k = rmult[k][j]
+        return self.elements[k]
 
     def left_descents(self, x: WeylElement) -> list[int]:
         xi = self.idx(x)
@@ -214,7 +256,7 @@ class WeylGroup:
 
     def reflection_root(self, x: WeylElement) -> Root | None:
         """The positive root beta with x = s_beta, or None."""
-        return self._reflections.get(x.action)
+        return self._reflections.get(self.idx(x))
 
     def root_image(self, x: WeylElement, beta: Root) -> Root:
         """x(beta), computed by folding simple reflections on root coordinates."""
@@ -242,25 +284,10 @@ class WeylGroup:
     # -- Bruhat order ------------------------------------------------------
 
     def leq(self, x: WeylElement, y: WeylElement) -> bool:
-        """Bruhat order, by the length-recursive descent criterion."""
-        if x.length > y.length:
-            return False
-        if x.action == y.action:
-            return True
-        key = (x.action, y.action)
-        memo = self._leq_memo
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        j = self.left_descents(y)[0]
-        sy = self.lmul_s(j, y)
-        sx = self.lmul_s(j, x)
-        if sx.length < x.length:
-            res = self.leq(sx, sy)
-        else:
-            res = self.leq(x, sy)
-        memo[key] = res
-        return res
+        """Bruhat order: the bitset test of the Borel quotient, built on first use."""
+        if self._borel is None:
+            self._borel = ParabolicQuotient(self, ())
+        return self._borel.leq(x, y)
 
 
 def enumerate_weyl(rs: RootSystem, order_cap: int = DEFAULT_ORDER_CAP) -> WeylGroup:
@@ -284,7 +311,12 @@ def bruhat_leq_subword(group: WeylGroup, x: WeylElement, y: WeylElement) -> bool
 
 
 class ParabolicQuotient:
-    """Minimal coset representatives W^P with the induced Bruhat order."""
+    """Minimal coset representatives W^P with the induced Bruhat order.
+
+    ``min_reps`` keeps the group's order (by length, then shortlex word) and
+    ``pos`` maps a representative to its position there.  Each position owns
+    its lower covers and its order ideal as a bitset over positions.
+    """
 
     def __init__(self, group: WeylGroup, subset):
         self.group = group
@@ -292,19 +324,51 @@ class ParabolicQuotient:
         for i in self.subset:
             if not 0 <= i < group.rank:
                 raise ValueError(f"simple root index {i} out of range")
+        els, rmult = group.elements, group.rmult
         self.min_reps: tuple[WeylElement, ...] = tuple(
             x
-            for x in group.elements
-            if all(group.rmul_s(x, j).length > x.length for j in self.subset)
+            for x in els
+            if all(els[rmult[x.id][j]].length > x.length for j in self.subset)
         )
         self.pos = {x: i for i, x in enumerate(self.min_reps)}
-        subgroup = [x for x in group.elements if self.project(x) == group.identity]
-        self.w_oP = max(subgroup, key=lambda e: e.length)
-        # order relation restricted to min_reps, precomputed
-        self.leq_table: dict[tuple[WeylElement, WeylElement], bool] = {}
-        for x in self.min_reps:
-            for y in self.min_reps:
-                self.leq_table[(x, y)] = group.leq(x, y)
+        # the longest element of W_P: climb while some s_j, j in P, lengthens
+        w = group.identity
+        while True:
+            for j in self.subset:
+                up = els[rmult[w.id][j]]
+                if up.length > w.length:
+                    w = up
+                    break
+            else:
+                break
+        self.w_oP = w
+
+        # lower covers from the orbit of rho_P, then ideals bottom-up
+        rs = group.rs
+        outside = [i for i in range(group.rank) if i not in self.subset]
+        roots = [
+            (rs.coroot(b), rs.root_in_weight_coords(b)) for b in rs.positive_roots
+        ]
+        orbit = [
+            tuple(sum(r[i] for i in outside) for r in y.action) for y in self.min_reps
+        ]
+        at = {mu: i for i, mu in enumerate(orbit)}
+        self._covers: list[tuple[int, ...]] = []
+        self._ideal: list[int] = []
+        for i, (y, mu) in enumerate(zip(self.min_reps, orbit)):
+            below = set()
+            for co, beta in roots:
+                c = sum(a * b for a, b in zip(co, mu))
+                if c < 0:
+                    k = at[tuple(m - c * b for m, b in zip(mu, beta))]
+                    if self.min_reps[k].length == y.length - 1:
+                        below.add(k)
+            covers = tuple(sorted(below))
+            ideal = 1 << i
+            for k in covers:
+                ideal |= self._ideal[k]
+            self._covers.append(covers)
+            self._ideal.append(ideal)
 
     @property
     def root_subset(self) -> frozenset[int]:
@@ -329,7 +393,13 @@ class ParabolicQuotient:
                 return x
 
     def leq(self, x: WeylElement, y: WeylElement) -> bool:
-        return self.leq_table[(x, y)]
+        """Bruhat order on W^P; raises KeyError unless both are in W^P."""
+        pos = self.pos
+        return (self._ideal[pos[y]] >> pos[x]) & 1 == 1
+
+    def covers(self, y: WeylElement) -> list[WeylElement]:
+        """The lower covers of y in W^P, in the order of ``min_reps``."""
+        return [self.min_reps[k] for k in self._covers[self.pos[y]]]
 
     def of_length(self, k: int) -> list[WeylElement]:
         return [x for x in self.min_reps if x.length == k]
@@ -387,21 +457,23 @@ def _lifts(quot_p: ParabolicQuotient, quot_lam: ParabolicQuotient, x_class: Weyl
     return [x for x in quot_p.min_reps if quot_lam.project(x) == x_class]
 
 
-def unique_extremal(group: WeylGroup, candidates, want_max: bool) -> WeylElement:
+def unique_extremal(order, candidates, want_max: bool) -> WeylElement:
     """The unique greatest (or least) element of a nonempty candidate set.
 
-    Uniqueness here is Deodhar's lemma; its failure is a hard error, never a
-    silently arbitrary choice.
+    ``order`` is anything with a Bruhat ``leq``: a WeylGroup, or a
+    ParabolicQuotient holding every candidate.  Uniqueness here is Deodhar's
+    lemma; its failure is a hard error, never a silently arbitrary choice.
     """
+    leq = order.leq
     if want_max:
-        ext = [c for c in candidates if not any(d is not c and group.leq(c, d) for d in candidates)]
+        ext = [c for c in candidates if not any(d is not c and leq(c, d) for d in candidates)]
     else:
-        ext = [c for c in candidates if not any(d is not c and group.leq(d, c) for d in candidates)]
+        ext = [c for c in candidates if not any(d is not c and leq(d, c) for d in candidates)]
     if len(ext) != 1:
         raise AssertionError("Deodhar uniqueness failed: multiple extremal lifts")
     e = ext[0]
     for c in candidates:
-        ok = group.leq(c, e) if want_max else group.leq(e, c)
+        ok = leq(c, e) if want_max else leq(e, c)
         if not ok:
             raise AssertionError("Deodhar uniqueness failed: incomparable lift")
     return e

@@ -7,6 +7,7 @@ import pytest
 from smtkit.oracle import weyl_dim
 from smtkit.pluecker import (
     MERSENNE_PRIME,
+    RankReport,
     all_indices,
     flag_monomial_evaluate,
     index_leq,
@@ -207,6 +208,20 @@ def test_hodge_iii_all_schuberts():
         for m in (1, 2):
             rep = verify_hodge_iii(I, 2, 4, m, seeds=SEEDS)
             assert rep.passed, (I, m, rep)
+
+
+# RankReport of verify_hodge_iii(I, 2, 5, 2, seeds=(4,)) on every X_I of
+# Gr(2,5): the expected rank (standard chains on X_I), reached by the seed.
+GR25_DEGREE2_RANKS = {
+    (1, 2): 1, (1, 3): 3, (1, 4): 6, (1, 5): 10, (2, 3): 6,
+    (2, 4): 14, (2, 5): 25, (3, 4): 20, (3, 5): 40, (4, 5): 50,
+}
+
+
+def test_hodge_iii_reports_gr25_degree2():
+    for I in all_indices(2, 5):
+        k = GR25_DEGREE2_RANKS[I]
+        assert verify_hodge_iii(I, 2, 5, 2, seeds=(4,)) == RankReport(True, k, ((4, k),), True)
 
 
 def test_point_schubert_variety_has_rank_one():

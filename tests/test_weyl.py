@@ -191,3 +191,35 @@ def test_word_round_trip():
     assert format_word(()) == "e"
     with pytest.raises(ValueError):
         parse_word("s4", 3)
+
+
+def _mat_mul(a, b):
+    bt = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3", "G2"])
+def test_multiplication_tables(label):
+    g = enumerate_weyl(build_root_system(label[0], int(label[1])))
+    for i, x in enumerate(g.elements):
+        assert g.idx(x) == i == x.id
+        for j in range(g.rank):
+            assert g.lmul_s(j, x) == g.from_word((j,) + x.word)
+            assert g.rmul_s(x, j) == g.from_word(x.word + (j,))
+    for x in g.elements:
+        assert _mat_mul(g.inv(x).action, x.action) == g.identity.action
+        for y in g.elements:
+            assert g.mul(x, y).action == _mat_mul(x.action, y.action)
+
+
+@pytest.mark.parametrize("label", ["B3", "C3", "G2"])
+def test_equal_elements_of_separate_groups_agree(label):
+    rs = build_root_system(label[0], int(label[1]))
+    g1, g2 = enumerate_weyl(rs), enumerate_weyl(build_root_system(label[0], int(label[1])))
+    q1 = minimal_coset_reps(g1, set())
+    for x1, x2 in zip(g1.elements, g2.elements):
+        assert x1 is not x2
+        assert x1 == x2 and hash(x1) == hash(x2)
+        assert g1.idx(x2) == g2.idx(x1) == x1.id == x2.id
+        assert g1.inv(x2) == g2.inv(x1)
+        assert q1.leq(x2, g2.w_o) and q1.leq(g2.identity, x2)
