@@ -11,7 +11,8 @@ Three subcommands mirror the package's verification surfaces:
 Weights are comma-separated fundamental-weight coordinates, several weights
 joined by "+".  Elements are dot-joined reduced words ("s2.s1") with the
 aliases "e" and "w0".  Exit codes: 0 all requested assertions passed,
-1 an assertion failed, 2 usage error.  All randomness is seeded and the
+1 an assertion failed or an internal invariant broke, 2 usage error or a
+request over a work cap.  All randomness is seeded and the
 seeds are echoed in the output, so identical invocations give identical
 output, byte for byte.
 """
@@ -29,7 +30,7 @@ from .pluecker import (
     all_indices,
     index_leq,
     relation_residual,
-    standard_monomials_grassmann,
+    standard_chain_count,
     straighten,
     verify_hodge_i,
     verify_hodge_iii,
@@ -43,6 +44,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 DEFAULT_DEGREE_CAP = 4
+HODGE_CHAIN_CAP = 200
 
 
 class UsageError(Exception):
@@ -249,8 +251,18 @@ def cmd_straighten(args) -> int:
         r, n = (int(p) for p in args.grassmann.split(","))
     except ValueError as exc:
         raise UsageError("--grassmann expects r,n") from exc
-    if not 1 <= r < n or r * (n - r) > 8:
+    if not 1 <= r < n or (args.pair and r * (n - r) > 8):
         raise UsageError("Grassmannian parameters out of the desk-scale cap")
+    if args.verify_hodge:
+        if args.degree > DEFAULT_DEGREE_CAP:
+            raise UsageError(f"degree {args.degree} exceeds cap {DEFAULT_DEGREE_CAP}")
+        # the rank checks' work grows with the number of top-degree chains
+        chains = standard_chain_count(r, n, args.degree)
+        if chains > HODGE_CHAIN_CAP:
+            raise UsageError(
+                f"Gr({r},{n}) has {chains} standard chains in degree {args.degree}, "
+                f"over the cap of {HODGE_CHAIN_CAP}"
+            )
     seeds = tuple(int(s) for s in args.seeds.split(","))
     failures: list[str] = []
     lines: list[str] = []
@@ -281,15 +293,13 @@ def cmd_straighten(args) -> int:
 
     if args.verify_hodge:
         degree = args.degree
-        if degree > DEFAULT_DEGREE_CAP:
-            raise UsageError(f"degree {degree} exceeds cap {DEFAULT_DEGREE_CAP}")
         counts = []
         for m in range(1, degree + 1):
             rep = verify_hodge_i(r, n, m, seeds=seeds)
             counts.append(
                 {
                     "degree": m,
-                    "chains": len(standard_monomials_grassmann(r, n, m)),
+                    "chains": standard_chain_count(r, n, m),
                     "rank_ok": rep.passed,
                     "ranks": [list(t) for t in rep.ranks_by_seed],
                 }
@@ -363,6 +373,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except AssertionError as exc:
+        print(f"error: invariant violated: {exc}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

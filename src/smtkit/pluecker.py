@@ -18,15 +18,19 @@ and a decode failure would mean the "system" is singular, i.e. a bug.
 
 Randomized layer.  Points of a Schubert variety are sampled as products of
 one-parameter unipotents u_i(t) s_i along a reduced word, over a large prime
-field (Schwartz-Zippel style, seeded and reproducible).  Opposite Schubert
-varieties are sampled through the longest-element twist.
+field (Schwartz-Zippel style, seeded and reproducible); each factor rewrites
+two columns.  Opposite Schubert varieties are sampled through the
+longest-element twist.  A sample computes its whole Plücker coordinate
+vector once, by a division-free Laplace recursion over row subsets, so a
+chain's value is a product of lookups.  Ranks of evaluation matrices come
+from inserting rows one at a time into an echelon basis.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = [
     "PlueckerIndex",
@@ -34,6 +38,7 @@ __all__ = [
     "index_leq",
     "all_indices",
     "standard_monomials_grassmann",
+    "standard_chain_count",
     "straighten",
     "relation_residual",
     "schubert_point_sample",
@@ -89,6 +94,25 @@ def standard_monomials_grassmann(r: int, n: int, m: int) -> list[tuple[PlueckerI
             if not ch or index_leq(ch[-1], J)
         ]
     return chains
+
+
+def standard_chain_count(r: int, n: int, m: int) -> int:
+    """len(standard_monomials_grassmann(r, n, m)), without enumerating.
+
+    A chain I_1 <= ... <= I_m is a semistandard tableau of the r x m
+    rectangle with entries in 1..n, so the hook-content formula counts it:
+    the product over cells (i, j) of (n + j - i) / hook(i, j).
+    """
+    if not 1 <= r < n:
+        raise ValueError("need 1 <= r < n")
+    if m < 0:
+        raise ValueError("degree must be nonnegative")
+    num = den = 1
+    for i in range(r):
+        for j in range(m):
+            num *= n + j - i
+            den *= (m - j) + (r - i) - 1
+    return num // den
 
 
 # ---------------------------------------------------------------------------
@@ -248,67 +272,72 @@ def _grassmann_perm(I: PlueckerIndex, n: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _mat_mul_mod(a, b, p):
-    n, k, m = len(a), len(b), len(b[0])
-    bt = list(zip(*b))
-    return [[sum(a[i][t] * bt[j][t] for t in range(k)) % p for j in range(m)] for i in range(n)]
-
-
 def _group_element_along(word, ts, n: int, p: int):
-    """The matrix  prod_j u_{i_j}(t_j) s_{i_j}  over F_p."""
-    g = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    """The matrix  prod_j u_{i_j}(t_j) s_{i_j}  over F_p, as a list of rows.
+
+    Right multiplication by u_j(t) s_j, whose j, j+1 block is [[t, -1], [1, 0]],
+    rewrites only columns j and j+1: (c_j, c_{j+1}) -> (t c_j + c_{j+1}, -c_j).
+    """
+    cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
     for j, t in zip(word, ts):
-        f = [[1 if i == k else 0 for k in range(n)] for i in range(n)]
-        # u_j(t) * s_j in the j, j+1 block: [[t, -1], [1, 0]]
-        f[j][j] = t % p
-        f[j][j + 1] = p - 1
-        f[j + 1][j] = 1
-        f[j + 1][j + 1] = 0
-        g = _mat_mul_mod(g, f, p)
-    return g
+        a, b = cols[j], cols[j + 1]
+        cols[j] = [(t * x + y) % p for x, y in zip(a, b)]
+        cols[j + 1] = [-x % p for x in a]
+    return [list(row) for row in zip(*cols)]
 
 
-def _det_mod(rows, p: int) -> int:
-    """Determinant of a small square matrix over F_p (fraction-free pivoting)."""
-    m = [row[:] for row in rows]
-    k = len(m)
-    det = 1
-    for col in range(k):
-        piv = next((i for i in range(col, k) if m[i][col] % p), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        inv = pow(m[col][col], p - 2, p)
-        det = det * m[col][col] % p
-        for i in range(col + 1, k):
-            f = m[i][col] * inv % p
-            if f:
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[col])]
-    return det % p
+def _minors(rows, r: int, p: int) -> dict[PlueckerIndex, int]:
+    """Every r x r minor on the first r columns of rows, over F_p.
+
+    Keys are the 1-based row subsets.  Laplace expansion along the last
+    column builds the minors of each size k from those of size k - 1: no
+    division, and k * C(n, k) products per size, so about r * C(n, r) in all
+    when r <= n/2.
+    """
+    dets: dict[tuple[int, ...], int] = {(): 1}
+    for k in range(r):
+        col = [row[k] for row in rows]
+        nxt = {}
+        for S in itertools.combinations(range(1, len(rows) + 1), k + 1):
+            v, sign = 0, 1
+            for t in range(k, -1, -1):
+                v += sign * col[S[t] - 1] * dets[S[:t] + S[t + 1:]]
+                sign = -sign
+            nxt[S] = v % p
+        dets = nxt
+    return dets
 
 
 @dataclass(frozen=True)
 class PointSample:
     """Evaluation functional at one sampled point of a Schubert variety.
 
-    matrix is n x r over F_p; its columns span the sampled subspace.
+    matrix is n x r over F_p; its columns span the sampled subspace.  coords
+    holds every Plücker coordinate, computed once; equality and hashing go
+    by the matrix alone.
     """
 
     r: int
     n: int
     prime: int
     matrix: tuple[tuple[int, ...], ...]
+    coords: dict[PlueckerIndex, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "coords", _minors(self.matrix, self.r, self.prime))
 
     def plucker(self, J) -> int:
-        J = _check_index(J, self.r, self.n)
-        return _det_mod([list(self.matrix[j - 1]) for j in J], self.prime)
+        return self.coords[_check_index(J, self.r, self.n)]
 
     def chain_value(self, chain) -> int:
+        coords, p = self.coords, self.prime
         v = 1
         for J in chain:
-            v = v * self.plucker(J) % self.prime
+            try:
+                x = coords[J]
+            except (KeyError, TypeError):  # a list index, or a bad one
+                x = self.plucker(J)
+            v = v * x % p
         return v
 
 
@@ -340,29 +369,36 @@ def schubert_point_sample(
         if opposite:
             cols = cols[::-1]
         point = PointSample(r, n, prime, tuple(tuple(row) for row in cols))
-        if any(point.plucker(K) for K in all_indices(r, n)):
+        if any(point.coords.values()):
             return point
     raise RuntimeError("degenerate sample: all Plücker coordinates vanish")
 
 
 def rank_mod_p(rows, p: int) -> int:
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(m)) if m[i][col] % p), None)
+    """Rank over F_p, inserting the rows one at a time into an echelon basis.
+
+    Each basis row is stored from its pivot on, scaled so the pivot is 1.  It
+    was reduced by every earlier basis row, so it vanishes at their pivots,
+    and reducing a new row in insertion order clears every pivot.  That
+    touches only the columns from each pivot on and takes the row mod p
+    once, at the end.  Stops once the rank reaches the column count.
+    """
+    basis: list[tuple[int, list[int]]] = []  # (pivot, row[pivot:])
+    for row in rows:
+        v = list(row)
+        for c, b in basis:
+            f = v[c] % p
+            if f:
+                v[c:] = [x - f * y for x, y in zip(v[c:], b)]
+        v = [x % p for x in v]
+        piv = next((c for c, x in enumerate(v) if x), None)
         if piv is None:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][col], p - 2, p)
-        for i in range(rank + 1, len(m)):
-            f = m[i][col] * inv % p
-            if f:
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[rank])]
-        rank += 1
-    return rank
+        inv = pow(v[piv], p - 2, p)
+        basis.append((piv, [x * inv % p for x in v[piv:]]))
+        if len(basis) == len(v):
+            break
+    return len(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +514,8 @@ def sample_flag_point(
 def extremal_minor(g, perm, i: int, prime: int = MERSENNE_PRIME) -> int:
     """p_{x(omega_i)} at the flag point: the i x i minor on rows x({1..i}),
     columns 1..i, where x is given in one-line notation."""
-    rows = sorted(perm[:i])
-    sub = [[g[a - 1][b] for b in range(i)] for a in rows]
-    return _det_mod(sub, prime)
+    (minor,) = _minors([g[a - 1] for a in sorted(perm[:i])], i, prime).values()
+    return minor
 
 
 def flag_monomial_evaluate(g, factors, prime: int = MERSENNE_PRIME) -> int:

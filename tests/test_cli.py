@@ -130,3 +130,51 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "smt", "--type", "A2", "--weights", "1,0,0", "--pair", "e:w0")
     assert code == 2
+
+
+def test_hodge_chain_cap_admits_gr36_degree2(capsys):
+    # 175 chains in degree 2: under the cap, though r(n-r) = 9
+    code, out, err = run(
+        capsys, "straighten", "--grassmann", "3,6", "--verify-hodge", "--degree", "2",
+        "--seeds", "1", "--json",
+    )
+    assert code == 0, err
+    payload = json.loads(out)
+    assert [d["chains"] for d in payload["verify_hodge"]["degrees"]] == [20, 175]
+    assert all(d["rank_ok"] for d in payload["verify_hodge"]["degrees"])
+    assert all(s["ok"] for s in payload["verify_hodge"]["schubert"])
+
+
+def test_hodge_chain_cap_refuses_before_sampling(capsys, monkeypatch):
+    import smtkit.cli as cli
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled despite the cap")
+
+    monkeypatch.setattr(cli, "verify_hodge_i", no_sampling)
+    monkeypatch.setattr(cli, "verify_hodge_iii", no_sampling)
+    # 1764 chains in degree 4
+    code, out, err = run(capsys, "straighten", "--grassmann", "2,6", "--verify-hodge", "--degree", "4")
+    assert code == 2
+    assert out == ""
+    assert "1764" in err and "cap" in err
+
+
+def test_pair_keeps_its_size_check(capsys):
+    code, _, err = run(capsys, "straighten", "--grassmann", "3,6", "--pair", "145,236")
+    assert code == 2
+    assert "cap" in err
+
+
+def test_broken_invariant_is_a_failed_check(capsys, monkeypatch):
+    import smtkit.cli as cli
+
+    def broken(*args, **kwargs):
+        raise AssertionError("straightening term violates the order condition")
+
+    monkeypatch.setattr(cli, "straighten", broken)
+    code, out, err = run(capsys, "straighten", "--grassmann", "2,4", "--pair", "14,23")
+    assert code == 1
+    assert out == ""
+    assert err == "error: invariant violated: straightening term violates the order condition\n"
+    assert "Traceback" not in err

@@ -7,8 +7,10 @@ import pytest
 from smtkit.oracle import weyl_dim
 from smtkit.pluecker import (
     MERSENNE_PRIME,
+    PointSample,
     RankReport,
     all_indices,
+    extremal_minor,
     flag_monomial_evaluate,
     index_leq,
     perm_from_word,
@@ -17,12 +19,13 @@ from smtkit.pluecker import (
     restriction_table,
     sample_flag_point,
     schubert_point_sample,
+    standard_chain_count,
     standard_monomials_grassmann,
     straighten,
     verify_hodge_i,
     verify_hodge_iii,
 )
-from smtkit.pluecker import _minor_poly
+from smtkit.pluecker import _group_element_along, _minor_poly, _reduced_word_of_perm
 from smtkit.rootdata import build_root_system
 
 SEEDS = (1, 2, 3)
@@ -272,3 +275,191 @@ def test_flag_vanishing_direction():
         for _ in range(20):
             g = sample_flag_point((0,), 3, rng)
             assert flag_monomial_evaluate(g, [(p_w0, 1)]) == 0
+
+
+# ---------------------------------------------------------------------------
+# differential tests: sampling, minors and rank against the Gaussian forms
+# ---------------------------------------------------------------------------
+
+
+def _oracle_det_mod(rows, p):
+    """Determinant over F_p by Gaussian elimination with a pivot inverse."""
+    m = [row[:] for row in rows]
+    k = len(m)
+    det = 1
+    for col in range(k):
+        piv = next((i for i in range(col, k) if m[i][col] % p), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        inv = pow(m[col][col], p - 2, p)
+        det = det * m[col][col] % p
+        for i in range(col + 1, k):
+            f = m[i][col] * inv % p
+            if f:
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[col])]
+    return det % p
+
+
+def _oracle_mat_mul_mod(a, b, p):
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in bt] for row in a]
+
+
+def _oracle_group_element_along(word, ts, n, p):
+    """prod_j u_{i_j}(t_j) s_{i_j} as a product of full matrices."""
+    g = [[int(i == j) for j in range(n)] for i in range(n)]
+    for j, t in zip(word, ts):
+        f = [[int(i == k) for k in range(n)] for i in range(n)]
+        f[j][j], f[j][j + 1], f[j + 1][j], f[j + 1][j + 1] = t % p, p - 1, 1, 0
+        g = _oracle_mat_mul_mod(g, f, p)
+    return g
+
+
+def _oracle_rank_mod_p(rows, p):
+    """Rank over F_p by column elimination over all rows."""
+    m = [list(r) for r in rows]
+    if not m:
+        return 0
+    rank = 0
+    for col in range(len(m[0])):
+        piv = next((i for i in range(rank, len(m)) if m[i][col] % p), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][col], p - 2, p)
+        for i in range(rank + 1, len(m)):
+            f = m[i][col] * inv % p
+            if f:
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+GRASSMANNIANS_UP_TO_7 = [(r, n) for n in range(2, 8) for r in range(1, n)]
+
+
+@pytest.mark.parametrize("r,n", GRASSMANNIANS_UP_TO_7)
+def test_sample_coords_equal_gaussian_minors(r, n):
+    rng = random.Random(100 * n + r)
+    for I in all_indices(r, n):
+        for opposite in (False, True):
+            pt = schubert_point_sample(I, r, n, rng, opposite=opposite)
+            assert set(pt.coords) == set(all_indices(r, n))
+            for J in all_indices(r, n):
+                want = _oracle_det_mod([list(pt.matrix[j - 1]) for j in J], pt.prime)
+                assert pt.coords[J] == want == pt.plucker(J), (I, opposite, J)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_column_update_sampling_equals_block_products(n):
+    rng = random.Random(n)
+    for length in (0, 1, 5, 20):
+        word = [rng.randrange(n - 1) for _ in range(length)]
+        ts = [rng.randrange(1, MERSENNE_PRIME) for _ in word]
+        assert _group_element_along(word, ts, n, MERSENNE_PRIME) == _oracle_group_element_along(
+            word, ts, n, MERSENNE_PRIME
+        )
+
+
+def test_extremal_minor_equals_gaussian_minor():
+    rng = random.Random(3)
+    for n in (3, 4, 5):
+        for perm in itertools.permutations(range(1, n + 1)):
+            g = sample_flag_point(_reduced_word_of_perm(perm), n, rng)
+            for i in range(n + 1):
+                sub = [g[a - 1][:i] for a in sorted(perm[:i])]
+                assert extremal_minor(g, perm, i) == _oracle_det_mod(sub, MERSENNE_PRIME)
+
+
+def _planted_rank_matrix(rng, rows, cols, rank, p):
+    """rows x cols of rank min(rank, rows, cols) over F_p (with high probability)."""
+    left = [[rng.randrange(p) for _ in range(rank)] for _ in range(rows)]
+    right = [[rng.randrange(p) for _ in range(cols)] for _ in range(rank)]
+    return [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*right)] for row in left]
+
+
+@pytest.mark.parametrize("p", [MERSENNE_PRIME, 7])
+def test_rank_equals_column_elimination(p):
+    rng = random.Random(11)
+    shapes = [(1, 1), (3, 8), (8, 3), (6, 6), (12, 12), (20, 9), (9, 20), (30, 30)]
+    for rows, cols in shapes:
+        for rank in range(0, min(rows, cols) + 2):
+            m = _planted_rank_matrix(rng, rows, cols, rank, p)
+            # the same classes mod p, shifted out of 0..p-1
+            shifted = [[x + p * rng.randrange(-3, 4) for x in row] for row in m]
+            want = _oracle_rank_mod_p(m, p)
+            assert rank_mod_p(m, p) == want == _oracle_rank_mod_p(shifted, p)
+            assert rank_mod_p(shifted, p) == want
+            if p == MERSENNE_PRIME:
+                assert want == min(rank, rows, cols)
+
+
+def test_rank_edge_cases():
+    p = MERSENNE_PRIME
+    assert rank_mod_p([], p) == 0
+    assert rank_mod_p([[0, 0, 0]] * 4, p) == 0
+    assert rank_mod_p([[p, -p, 2 * p]], p) == 0
+    assert rank_mod_p([[-1, 0], [0, p + 1]], p) == 2
+    # a repeated row, then rows past full rank
+    rows = [[1, 2, 3], [1, 2, 3], [0, 1, 1], [4, 5, 6], [7, 8, 10]]
+    assert rank_mod_p(rows, p) == _oracle_rank_mod_p(rows, p) == 3
+    # a pivot left of an earlier one: reduction must go by pivot order
+    assert rank_mod_p([[0, 1, 0], [1, 1, 0], [1, 1, 0]], p) == 2
+
+
+@pytest.mark.parametrize("p", [MERSENNE_PRIME, 5])
+def test_rank_equals_column_elimination_on_sparse_rows(p):
+    # mostly-zero rows put pivots out of order
+    rng = random.Random(12)
+    for rows, cols in [(4, 4), (6, 9), (9, 6), (12, 12)] * 10:
+        m = [[rng.randrange(-p, 2 * p) if rng.random() < 0.3 else 0 for _ in range(cols)]
+             for _ in range(rows)]
+        assert rank_mod_p(m, p) == _oracle_rank_mod_p(m, p)
+
+
+def test_point_sample_hashable_and_equal_by_matrix():
+    a = schubert_point_sample((2, 4), 2, 4, random.Random(1))
+    b = schubert_point_sample((2, 4), 2, 4, random.Random(1))
+    c = schubert_point_sample((2, 4), 2, 4, random.Random(2))
+    assert a == b and hash(a) == hash(b) and a != c
+    assert a.coords is not b.coords
+    keys = {(a, (1, 2)), (b, (1, 2)), (c, (1, 2))}
+    assert len(keys) == 2
+    assert PointSample(a.r, a.n, a.prime, a.matrix) == a
+    assert "coords" not in repr(a)
+
+
+def test_plucker_accepts_lists_and_rejects_bad_indices():
+    pt = schubert_point_sample((3, 4), 2, 4, random.Random(5))
+    assert pt.plucker([1, 3]) == pt.plucker((1, 3)) == pt.coords[(1, 3)]
+    assert pt.chain_value([[1, 3], (2, 4)]) == pt.coords[(1, 3)] * pt.coords[(2, 4)] % pt.prime
+    for bad in [(1,), (1, 2, 3), (0, 2), (3, 2), (2, 2), (1, 5)]:
+        with pytest.raises(ValueError):
+            pt.plucker(bad)
+        with pytest.raises(ValueError):
+            pt.chain_value([(1, 2), bad])
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_chain_count_equals_enumeration(n):
+    for r in range(1, n):
+        for m in range(0, 4):
+            assert standard_chain_count(r, n, m) == len(standard_monomials_grassmann(r, n, m))
+    with pytest.raises(ValueError):
+        standard_chain_count(n, n, 1)
+    with pytest.raises(ValueError):
+        standard_chain_count(1, n, -1)
+
+
+@pytest.mark.parametrize("r,n,m", [(3, 6, 2), (2, 5, 3)])
+def test_hodge_i_at_175_chains(r, n, m):
+    a = build_root_system("A", n - 1)
+    coords = [0] * (n - 1)
+    coords[r - 1] = m
+    rep = verify_hodge_i(r, n, m, seeds=(1,))
+    assert rep.passed
+    assert rep.expected_rank == weyl_dim(a, a.weight(tuple(coords))) == 175
+    assert rep.ranks_by_seed == ((1, 175),)
