@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections import Counter
 
@@ -44,7 +45,10 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 DEFAULT_DEGREE_CAP = 4
+# straighten --verify-hodge: caps on the predicted work, checked before sampling
 HODGE_CHAIN_CAP = 200
+HODGE_SAMPLE_CAP = 256
+HODGE_SWEEP_CAP = 4000
 
 
 class UsageError(Exception):
@@ -246,6 +250,31 @@ def cmd_smt(args) -> int:
     return EXIT_FAIL if failures else EXIT_OK
 
 
+def _check_hodge_work(r: int, n: int, degree: int) -> None:
+    """Refuse a --verify-hodge request whose predicted work is over a cap.
+
+    Three figures bound it: the numbers one point sample computes (its n x n
+    group element and the Laplace table of all minors of size <= r), the
+    top-degree chains (the largest rank check), and the Schubert sweep, one
+    restriction check of up to chains(min(degree, 2)) chains per index.
+    The group element is checked alone first, so that a large n is refused
+    before its minor table is summed.
+    """
+
+    def figures():
+        yield n * n, "entries in a sampled group element", HODGE_SAMPLE_CAP
+        sample = n * n + sum(math.comb(n, k) for k in range(r + 1))
+        yield sample, "numbers per point sample", HODGE_SAMPLE_CAP
+        chains = standard_chain_count(r, n, degree)
+        yield chains, f"standard chains in degree {degree}", HODGE_CHAIN_CAP
+        sweep = math.comb(n, r) * standard_chain_count(r, n, min(degree, 2))
+        yield sweep, "Schubert indices x restriction chains", HODGE_SWEEP_CAP
+
+    for figure, what, cap in figures():
+        if figure > cap:
+            raise UsageError(f"Gr({r},{n}) has {figure} {what}, over the cap of {cap}")
+
+
 def cmd_straighten(args) -> int:
     try:
         r, n = (int(p) for p in args.grassmann.split(","))
@@ -256,13 +285,7 @@ def cmd_straighten(args) -> int:
     if args.verify_hodge:
         if args.degree > DEFAULT_DEGREE_CAP:
             raise UsageError(f"degree {args.degree} exceeds cap {DEFAULT_DEGREE_CAP}")
-        # the rank checks' work grows with the number of top-degree chains
-        chains = standard_chain_count(r, n, args.degree)
-        if chains > HODGE_CHAIN_CAP:
-            raise UsageError(
-                f"Gr({r},{n}) has {chains} standard chains in degree {args.degree}, "
-                f"over the cap of {HODGE_CHAIN_CAP}"
-            )
+        _check_hodge_work(r, n, args.degree)
     seeds = tuple(int(s) for s in args.seeds.split(","))
     failures: list[str] = []
     lines: list[str] = []

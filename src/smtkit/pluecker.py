@@ -292,7 +292,8 @@ def _minors(rows, r: int, p: int) -> dict[PlueckerIndex, int]:
     Keys are the 1-based row subsets.  Laplace expansion along the last
     column builds the minors of each size k from those of size k - 1: no
     division, and k * C(n, k) products per size, so about r * C(n, r) in all
-    when r <= n/2.
+    when r <= n/2.  The table holds every minor of size <= r, sum_{k<=r}
+    C(n, k) entries, which nears 2^n as r nears n: this is for small n.
     """
     dets: dict[tuple[int, ...], int] = {(): 1}
     for k in range(r):
@@ -313,8 +314,9 @@ class PointSample:
     """Evaluation functional at one sampled point of a Schubert variety.
 
     matrix is n x r over F_p; its columns span the sampled subspace.  coords
-    holds every Plücker coordinate, computed once; equality and hashing go
-    by the matrix alone.
+    holds every Plücker coordinate, computed once by _minors (whose table
+    grows like 2^n when r > n/2); equality and hashing go by the matrix
+    alone.
     """
 
     r: int
@@ -327,17 +329,15 @@ class PointSample:
         object.__setattr__(self, "coords", _minors(self.matrix, self.r, self.prime))
 
     def plucker(self, J) -> int:
-        return self.coords[_check_index(J, self.r, self.n)]
+        try:
+            return self.coords[J]
+        except (KeyError, TypeError):  # a list index, or a bad one
+            return self.coords[_check_index(J, self.r, self.n)]
 
     def chain_value(self, chain) -> int:
-        coords, p = self.coords, self.prime
         v = 1
         for J in chain:
-            try:
-                x = coords[J]
-            except (KeyError, TypeError):  # a list index, or a bad one
-                x = self.plucker(J)
-            v = v * x % p
+            v = v * self.plucker(J) % self.prime
         return v
 
 
@@ -513,7 +513,10 @@ def sample_flag_point(
 
 def extremal_minor(g, perm, i: int, prime: int = MERSENNE_PRIME) -> int:
     """p_{x(omega_i)} at the flag point: the i x i minor on rows x({1..i}),
-    columns 1..i, where x is given in one-line notation."""
+    columns 1..i, where x is given in one-line notation.
+
+    The Laplace table of the i selected rows has 2^i entries, so this is
+    meant for small i, as in the SL(3) flag checks."""
     (minor,) = _minors([g[a - 1] for a in sorted(perm[:i])], i, prime).values()
     return minor
 

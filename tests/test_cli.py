@@ -128,6 +128,9 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "straighten", "--grassmann", "3,9")
     assert code == 2
+    code, _, err = run(capsys, "straighten", "--grassmann", "3,9", "--verify-hodge", "--degree", "2")
+    assert code == 2
+    assert "2520" in err and "cap" in err
     code, _, err = run(capsys, "smt", "--type", "A2", "--weights", "1,0,0", "--pair", "e:w0")
     assert code == 2
 
@@ -145,7 +148,20 @@ def test_hodge_chain_cap_admits_gr36_degree2(capsys):
     assert all(s["ok"] for s in payload["verify_hodge"]["schubert"])
 
 
-def test_hodge_chain_cap_refuses_before_sampling(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "grassmann, degree, figure",
+    [
+        ("2,6", 4, "1764 standard chains"),
+        # one chain in degree 0, but the sweep would cover C(100, 50) indices
+        ("50,100", 0, "10000 entries in a sampled group element"),
+        # 31 chains, but each sample's minor table has 2^31 - 1 entries
+        ("30,31", 1, "961 entries in a sampled group element"),
+        ("1,100", 1, "10000 entries in a sampled group element"),
+        ("7,8", 1, "319 numbers per point sample"),
+        ("2,7", 2, "4116 Schubert indices x restriction chains"),
+    ],
+)
+def test_hodge_work_cap_refuses_before_sampling(capsys, monkeypatch, grassmann, degree, figure):
     import smtkit.cli as cli
 
     def no_sampling(*args, **kwargs):
@@ -153,11 +169,22 @@ def test_hodge_chain_cap_refuses_before_sampling(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "verify_hodge_i", no_sampling)
     monkeypatch.setattr(cli, "verify_hodge_iii", no_sampling)
-    # 1764 chains in degree 4
-    code, out, err = run(capsys, "straighten", "--grassmann", "2,6", "--verify-hodge", "--degree", "4")
+    code, out, err = run(
+        capsys, "straighten", "--grassmann", grassmann, "--verify-hodge", "--degree", str(degree)
+    )
     assert code == 2
     assert out == ""
-    assert "1764" in err and "cap" in err
+    assert figure in err and "cap" in err
+
+
+@pytest.mark.parametrize(
+    "r, n, degree",
+    [(2, 4, 1), (2, 4, 2), (2, 5, 1), (3, 5, 1), (3, 6, 2), (2, 5, 3), (6, 7, 2)],
+)
+def test_hodge_work_cap_admits(r, n, degree):
+    from smtkit.cli import _check_hodge_work
+
+    _check_hodge_work(r, n, degree)
 
 
 def test_pair_keeps_its_size_check(capsys):
