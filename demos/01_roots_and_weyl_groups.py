@@ -5,12 +5,11 @@ of classical type, and walks through Bruhat order and parabolic quotients.
 """
 
 from smtkit import (
+    ParabolicQuotient,
+    WeylGroup,
     build_root_system,
-    bruhat_leq,
-    enumerate_weyl,
     format_word,
     is_classical_type,
-    minimal_coset_reps,
     pairing,
     parse_cartan_type,
     stabilizer_subset,
@@ -40,17 +39,17 @@ for label in ["A3", "B3", "C3", "D4", "G2", "F4", "E8"]:
 
 print("\n== Weyl groups and Bruhat order ==")
 rs = build_root_system("A", 2)
-g = enumerate_weyl(rs)
+g = WeylGroup(rs)
 print(f"W(A2) has {len(g)} elements:")
 for el in g.elements:
     print(f"  {format_word(el.word):<10} length {el.length}")
 s1, s2 = g.simple
-print(f"s1 <= s1.s2? {bruhat_leq(g, s1, g.mul(s1, s2))}")
-print(f"s1 <= s2?    {bruhat_leq(g, s1, s2)}")
+print(f"s1 <= s1.s2? {g.leq(s1, g.mul(s1, s2))}")
+print(f"s1 <= s2?    {g.leq(s1, s2)}")
 
 print("\n== parabolic quotients ==")
 lam = rs.fundamental_weight(0)
-q = minimal_coset_reps(g, stabilizer_subset(rs, lam))
+q = ParabolicQuotient(g, stabilizer_subset(rs, lam))
 print("W^{omega_1} for A2 (the projective plane):",
       [format_word(x.word) for x in q.min_reps])
 print("order-reversing involution w -> w_o w w_{o,P}:")

@@ -10,9 +10,9 @@ import itertools
 from collections import Counter
 
 from smtkit import (
+    WeightPoset,
+    WeylGroup,
     demazure_character,
-    enumerate_admissible,
-    enumerate_weyl,
     format_word,
     is_classical_type,
     parse_cartan_type,
@@ -33,20 +33,21 @@ def classical_weights(rs):
 
 print("== the C2, omega_2 story in full ==")
 rs = parse_cartan_type("C2")
-g = enumerate_weyl(rs)
+g = WeylGroup(rs)
 lam = rs.fundamental_weight(1)
-for p in enumerate_admissible(g, lam):
+pairs = WeightPoset(g, lam).pairs()
+for p in pairs:
     chain = " > ".join(format_word(x.word) for x in p.double_chain) or "(trivial)"
     print(f"  v={format_word(p.v.word):<10} w={format_word(p.w.word):<10} "
           f"xi={p.weight().coords}   {chain}")
-print(f"count = {len(enumerate_admissible(g, lam))}, weyl_dim = {weyl_dim(rs, lam)}")
+print(f"count = {len(pairs)}, weyl_dim = {weyl_dim(rs, lam)}")
 
 print("\n== sweep: counts and characters against the oracles ==")
 for label in ["A2", "A3", "B2", "B3", "C2", "C3", "D4"]:
     rs = parse_cartan_type(label)
-    g = enumerate_weyl(rs)
+    g = WeylGroup(rs)
     for lam in classical_weights(rs):
-        pairs = enumerate_admissible(g, lam)
+        pairs = WeightPoset(g, lam).pairs()
         dim = weyl_dim(rs, lam)
         neg_xi = Counter(tuple(-c for c in p.weight().coords) for p in pairs)
         char = Counter(demazure_character(rs, g.w_o, lam))

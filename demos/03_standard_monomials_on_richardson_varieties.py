@@ -9,8 +9,8 @@ a union of two Schubert varieties.
 """
 
 from smtkit import (
+    WeylGroup,
     demazure_character,
-    enumerate_weyl,
     format_word,
     make_union,
     mass,
@@ -20,7 +20,7 @@ from smtkit import (
 from smtkit.smt import StandardContext
 
 rs = parse_cartan_type("A2")
-g = enumerate_weyl(rs)
+g = WeylGroup(rs)
 w1, w2 = rs.fundamental_weight(0), rs.fundamental_weight(1)
 
 print("== degree profile (omega_1, omega_2) on the full flag variety ==")

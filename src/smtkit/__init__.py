@@ -7,14 +7,7 @@ Plücker coordinates with exact straightening relations and randomized
 finite-field rank verification.
 """
 
-from .admissible import (
-    AdmissiblePair,
-    WeightPoset,
-    all_chains_double,
-    enumerate_admissible,
-    is_admissible,
-    pair_weight,
-)
+from .admissible import AdmissiblePair, WeightPoset
 from .oracle import demazure_apply, demazure_character, mass, weyl_dim
 from .pluecker import (
     MERSENNE_PRIME,
@@ -43,9 +36,8 @@ from .schubert import (
     RichardsonPair,
     chevalley_multiplicity,
     extremal_restricts_nonzero,
-    is_double_divisor,
-    is_moving_divisor,
     lambda_boundary,
+    moving_root,
     richardson_contains,
     schubert_divisors,
 )
@@ -53,24 +45,16 @@ from .smt import (
     RichardsonUnion,
     StandardContext,
     StandardMonomial,
-    count_on_union,
-    enumerate_standard,
-    filtration_partition,
-    is_standard_on,
     make_union,
 )
 from .weyl import (
     ParabolicQuotient,
     WeylElement,
     WeylGroup,
-    bruhat_leq,
     bruhat_leq_subword,
-    enumerate_weyl,
     format_word,
-    lambda_maximal_lift,
-    lambda_minimal_lift,
-    minimal_coset_reps,
     stabilizer_subset,
+    unique_extremal,
 )
 
 __version__ = "0.1.0"

@@ -20,16 +20,9 @@ from dataclasses import dataclass
 
 from .rootdata import Weight, is_classical_type, pairing
 from .schubert import schubert_divisors
-from .weyl import ParabolicQuotient, WeylElement, WeylGroup, minimal_coset_reps, stabilizer_subset
+from .weyl import ParabolicQuotient, WeylElement, WeylGroup, stabilizer_subset
 
-__all__ = [
-    "AdmissiblePair",
-    "WeightPoset",
-    "enumerate_admissible",
-    "is_admissible",
-    "all_chains_double",
-    "pair_weight",
-]
+__all__ = ["AdmissiblePair", "WeightPoset"]
 
 
 @dataclass(frozen=True)
@@ -44,14 +37,6 @@ class AdmissiblePair:
     w: WeylElement
     double_chain: tuple[WeylElement, ...]
     xi2: tuple[int, ...]
-
-    @property
-    def v_class(self) -> WeylElement:
-        return self.v
-
-    @property
-    def w_class(self) -> WeylElement:
-        return self.w
 
     @property
     def is_trivial(self) -> bool:
@@ -80,9 +65,7 @@ class WeightPoset:
         self.group = group
         self.rs = rs
         self.lam = lam
-        self.quotient: ParabolicQuotient = minimal_coset_reps(
-            group, stabilizer_subset(rs, lam)
-        )
+        self.quotient = ParabolicQuotient(group, stabilizer_subset(rs, lam))
         # covers below each element, with multiplicities <lam, beta^vee>
         self.covers: dict[WeylElement, list[tuple[WeylElement, int]]] = {}
         for w in self.quotient.min_reps:
@@ -99,9 +82,6 @@ class WeightPoset:
                 if m == 2:
                     reach |= self.double_below[child]
             self.double_below[w] = frozenset(reach)
-
-    def elements(self) -> tuple[WeylElement, ...]:
-        return self.quotient.min_reps
 
     def is_admissible(self, v: WeylElement, w: WeylElement) -> bool:
         return v in self.double_below[w]
@@ -135,6 +115,7 @@ class WeightPoset:
         return p
 
     def pairs(self) -> list[AdmissiblePair]:
+        """All admissible pairs, trivial pairs included, sorted by (w, v)."""
         out = []
         for w in self.quotient.min_reps:
             for v in sorted(self.double_below[w], key=_sort_key):
@@ -162,39 +143,15 @@ class WeightPoset:
                 raise ValueError("not a saturated chain")
         return mults
 
+    def all_chains_double(self, v: WeylElement, w: WeylElement) -> bool:
+        """Check that EVERY saturated chain of an admissible pair is double.
 
-def enumerate_admissible(group: WeylGroup, lam: Weight) -> list[AdmissiblePair]:
-    """All admissible pairs for lam, trivial pairs included, sorted by (w, v)."""
-    return WeightPoset(group, lam).pairs()
-
-
-def is_admissible(
-    group: WeylGroup, lam: Weight, v: WeylElement, w: WeylElement
-) -> tuple[bool, tuple[WeylElement, ...] | None]:
-    """Decide admissibility; on success also return a witnessing chain."""
-    poset = WeightPoset(group, lam)
-    if poset.is_admissible(v, w):
-        return True, poset.witness_chain(v, w)
-    return False, None
-
-
-def all_chains_double(
-    group: WeylGroup, lam: Weight, v: WeylElement, w: WeylElement
-) -> bool:
-    """Check that EVERY saturated chain of an admissible pair is double.
-
-    This is a theorem-level assertion: a False return would contradict the
-    admissibility equivalence, so callers treat it as a bug detector.
-    """
-    poset = WeightPoset(group, lam)
-    if not poset.is_admissible(v, w):
-        raise ValueError("pair is not admissible")
-    for chain in poset.saturated_chains(v, w):
-        if any(m != 2 for m in poset.chain_multiplicities(chain)):
-            return False
-    return True
-
-
-def pair_weight(pair: AdmissiblePair) -> Weight:
-    """The weight xi of the pair; raises if 2 xi fails to be even (bug)."""
-    return pair.weight()
+        This is a theorem-level assertion: a False return would contradict the
+        admissibility equivalence, so callers treat it as a bug detector.
+        """
+        if not self.is_admissible(v, w):
+            raise ValueError("pair is not admissible")
+        return all(
+            all(m == 2 for m in self.chain_multiplicities(chain))
+            for chain in self.saturated_chains(v, w)
+        )

@@ -20,12 +20,13 @@ output, byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 from collections import Counter
 
-from .admissible import enumerate_admissible
+from .admissible import WeightPoset
 from .oracle import demazure_character, mass, weyl_dim
 from .pluecker import (
     all_indices,
@@ -38,7 +39,7 @@ from .pluecker import (
 )
 from .rootdata import Weight, is_classical_type, parse_cartan_type
 from .smt import StandardContext, make_union
-from .weyl import DEFAULT_ORDER_CAP, WeylGroup, enumerate_weyl, format_word, parse_word
+from .weyl import DEFAULT_ORDER_CAP, WeylGroup, format_word, parse_word
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -49,6 +50,9 @@ DEFAULT_DEGREE_CAP = 4
 HODGE_CHAIN_CAP = 200
 HODGE_SAMPLE_CAP = 256
 HODGE_SWEEP_CAP = 4000
+# the two figures above, times the number of seeds: three seeds always fit
+HODGE_SEEDED_CHAIN_CAP = 3 * HODGE_CHAIN_CAP
+HODGE_SEEDED_SWEEP_CAP = 3 * HODGE_SWEEP_CAP
 
 
 class UsageError(Exception):
@@ -119,8 +123,8 @@ def cmd_admissible(args) -> int:
     if not is_classical_type(rs, lam):
         print(f"error: {lam.coords} is not of classical type for {rs.cartan_type}", file=sys.stderr)
         return EXIT_USAGE
-    group = enumerate_weyl(rs, order_cap=args.cap)
-    pairs = enumerate_admissible(group, lam)
+    group = WeylGroup(rs, order_cap=args.cap)
+    pairs = WeightPoset(group, lam).pairs()
     dim = weyl_dim(rs, lam)
     neg_xi = Counter(tuple(-c for c in p.weight().coords) for p in pairs)
     char = Counter(demazure_character(rs, group.w_o, lam))
@@ -157,7 +161,7 @@ def cmd_admissible(args) -> int:
 def cmd_smt(args) -> int:
     rs = parse_cartan_type(args.type)
     weights = _parse_weights(args.weights, rs.rank)
-    group = enumerate_weyl(rs, order_cap=args.cap)
+    group = WeylGroup(rs, order_cap=args.cap)
     subset = _parse_parabolic(args.parabolic, rs.rank)
     ctx = StandardContext(group, subset, weights)
 
@@ -250,7 +254,7 @@ def cmd_smt(args) -> int:
     return EXIT_FAIL if failures else EXIT_OK
 
 
-def _check_hodge_work(r: int, n: int, degree: int) -> None:
+def _check_hodge_work(r: int, n: int, degree: int, seeds: int = 3) -> None:
     """Refuse a --verify-hodge request whose predicted work is over a cap.
 
     Three figures bound it: the numbers one point sample computes (its n x n
@@ -258,7 +262,8 @@ def _check_hodge_work(r: int, n: int, degree: int) -> None:
     top-degree chains (the largest rank check), and the Schubert sweep, one
     restriction check of up to chains(min(degree, 2)) chains per index.
     The group element is checked alone first, so that a large n is refused
-    before its minor table is summed.
+    before its minor table is summed.  Every seed repeats the rank checks,
+    so the chains and the sweep are capped once more times the seed count.
     """
 
     def figures():
@@ -269,6 +274,8 @@ def _check_hodge_work(r: int, n: int, degree: int) -> None:
         yield chains, f"standard chains in degree {degree}", HODGE_CHAIN_CAP
         sweep = math.comb(n, r) * standard_chain_count(r, n, min(degree, 2))
         yield sweep, "Schubert indices x restriction chains", HODGE_SWEEP_CAP
+        yield seeds * chains, f"seeds x chains in degree {degree}", HODGE_SEEDED_CHAIN_CAP
+        yield seeds * sweep, "seeds x Schubert sweep checks", HODGE_SEEDED_SWEEP_CAP
 
     for figure, what, cap in figures():
         if figure > cap:
@@ -285,7 +292,7 @@ def cmd_straighten(args) -> int:
     if args.verify_hodge:
         if args.degree > DEFAULT_DEGREE_CAP:
             raise UsageError(f"degree {args.degree} exceeds cap {DEFAULT_DEGREE_CAP}")
-        _check_hodge_work(r, n, args.degree)
+        _check_hodge_work(r, n, args.degree, len(args.seeds.split(",")))
     seeds = tuple(int(s) for s in args.seeds.split(","))
     failures: list[str] = []
     lines: list[str] = []
@@ -351,7 +358,9 @@ def cmd_straighten(args) -> int:
     return EXIT_FAIL if failures else EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(prog="smtkit", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -386,14 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AssertionError as exc:

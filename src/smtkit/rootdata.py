@@ -79,19 +79,6 @@ class Weight:
     def __add__(self, other: "Weight") -> "Weight":
         return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
-    def __sub__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "Weight":
-        return Weight(tuple(-a for a in self.coords))
-
-    def scaled(self, k: int) -> "Weight":
-        return Weight(tuple(k * a for a in self.coords))
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
 
 @dataclass(frozen=True)
 class RootSystem:
@@ -106,10 +93,6 @@ class RootSystem:
     # coroot of each positive root, in simple-coroot coordinates (equivalently
     # its values on the fundamental weights)
     coroot_table: dict[Root, tuple[int, ...]] = field(repr=False)
-
-    @property
-    def cartan_matrix(self) -> tuple[tuple[int, ...], ...]:
-        return self.cartan
 
     def fundamental_weight(self, i: int) -> Weight:
         return Weight(tuple(1 if j == i else 0 for j in range(self.rank)))

@@ -23,11 +23,9 @@ __all__ = [
     "schubert_divisors",
     "chevalley_multiplicity",
     "lambda_boundary",
-    "is_moving_divisor",
-    "is_double_divisor",
+    "moving_root",
     "richardson_contains",
     "extremal_restricts_nonzero",
-    "fixed_points",
 ]
 
 
@@ -118,31 +116,15 @@ def lambda_boundary(
     return out
 
 
-def is_moving_divisor(quot_lam: ParabolicQuotient, v: WeylElement, w: WeylElement) -> bool:
-    """True iff v = s_alpha w for a simple root alpha (a cover moved by alpha)."""
+def moving_root(quot_lam: ParabolicQuotient, v: WeylElement, w: WeylElement) -> Root | None:
+    """The simple alpha with v = s_alpha w, if the divisor is moving, else None."""
     if not is_cover(quot_lam, v, w):
         raise ValueError("(v, w) is not a covering pair")
     g = quot_lam.group
-    t = g.mul(v, g.inv(w))
-    beta = g.reflection_root(t)
-    return beta is not None and beta.height == 1
-
-
-def moving_root(quot_lam: ParabolicQuotient, v: WeylElement, w: WeylElement) -> Root | None:
-    """The simple alpha with v = s_alpha w, if the divisor is moving."""
-    g = quot_lam.group
-    t = g.mul(v, g.inv(w))
-    beta = g.reflection_root(t)
+    beta = g.reflection_root(g.mul(v, g.inv(w)))
     if beta is not None and beta.height == 1:
         return beta
     return None
-
-
-def is_double_divisor(
-    quot_lam: ParabolicQuotient, v: WeylElement, w: WeylElement, lam: Weight
-) -> bool:
-    """True iff the Chevalley multiplicity of the cover equals 2."""
-    return chevalley_multiplicity(quot_lam, v, w, lam) == 2
 
 
 def richardson_contains(
@@ -150,11 +132,6 @@ def richardson_contains(
 ) -> bool:
     """Containment of T-fixed-point intervals: v <= x and y <= w."""
     return quot.leq(outer.v, inner.v) and quot.leq(inner.w, outer.w)
-
-
-def fixed_points(quot: ParabolicQuotient, pair: RichardsonPair) -> list[WeylElement]:
-    """The interval {x in W^P : v <= x <= w} of torus-fixed points."""
-    return quot.interval(pair.v, pair.w)
 
 
 def extremal_restricts_nonzero(
@@ -167,7 +144,7 @@ def extremal_restricts_nonzero(
 
     True iff some lift x in W^P of x_class satisfies v <= x <= w.
     """
-    for x in quot_p.min_reps:
-        if quot_lam.project(x) == x_class and quot_p.leq(pair.v, x) and quot_p.leq(x, pair.w):
-            return True
-    return False
+    return any(
+        quot_p.leq(pair.v, x) and quot_p.leq(x, pair.w)
+        for x in quot_p.lifts(quot_lam).get(x_class, ())
+    )

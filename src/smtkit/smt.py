@@ -29,23 +29,14 @@ from dataclasses import dataclass
 from .admissible import AdmissiblePair, WeightPoset
 from .rootdata import Weight
 from .schubert import RichardsonPair, make_pair
-from .weyl import (
-    ParabolicQuotient,
-    WeylElement,
-    WeylGroup,
-    minimal_coset_reps,
-    unique_extremal,
-)
+from .weyl import ParabolicQuotient, WeylElement, WeylGroup, unique_extremal
 
 __all__ = [
     "StandardMonomial",
     "RichardsonUnion",
     "StandardContext",
     "UnionCount",
-    "is_standard_on",
-    "enumerate_standard",
-    "count_on_union",
-    "filtration_partition",
+    "make_union",
 ]
 
 
@@ -98,7 +89,7 @@ class StandardContext:
     def __init__(self, group: WeylGroup, parabolic_subset, weights):
         self.group = group
         self.rs = group.rs
-        self.quot = minimal_coset_reps(group, parabolic_subset)
+        self.quot = ParabolicQuotient(group, parabolic_subset)
         self.weights: tuple[Weight, ...] = tuple(weights)
         for lam in self.weights:
             if any(lam.coords[i] != 0 for i in self.quot.subset):
@@ -109,13 +100,8 @@ class StandardContext:
         self.posets: tuple[WeightPoset, ...] = tuple(
             WeightPoset(group, lam) for lam in self.weights
         )
-        # lifts of each W^lam class into W^P, per weight
-        self._lifts: list[dict[WeylElement, tuple[WeylElement, ...]]] = []
-        for poset in self.posets:
-            table: dict[WeylElement, list[WeylElement]] = {}
-            for x in self.quot.min_reps:
-                table.setdefault(poset.quotient.project(x), []).append(x)
-            self._lifts.append({c: tuple(v) for c, v in table.items()})
+        # the lift table of each factor's W^lam into W^P
+        self.lift_tables = tuple(self.quot.lifts(p.quotient) for p in self.posets)
 
     def pair(self, v: WeylElement, w: WeylElement) -> RichardsonPair:
         return make_pair(self.quot, v, w)
@@ -126,7 +112,7 @@ class StandardContext:
         """The least lift of x_class into W^P above base, via the lift table."""
         cands = [
             x
-            for x in self._lifts[factor_index].get(x_class, ())
+            for x in self.lift_tables[factor_index].get(x_class, ())
             if self.quot.leq(base, x)
         ]
         if not cands:
@@ -227,22 +213,3 @@ class StandardContext:
             blocks[e_class] = blocks.get(e_class, 0) + 1
         return blocks
 
-
-def is_standard_on(
-    ctx: StandardContext, factors, pair: RichardsonPair
-) -> tuple[WeylElement, ...] | None:
-    """Certifying lifts for the sequence on the pair, or None."""
-    return ctx.certify(factors, pair)
-
-
-def enumerate_standard(ctx: StandardContext, pair: RichardsonPair) -> list[StandardMonomial]:
-    """All standard monomials on the pair for the context's degree profile."""
-    return ctx.enumerate(pair)
-
-
-def count_on_union(ctx: StandardContext, union: RichardsonUnion) -> UnionCount:
-    return ctx.count_on_union(union)
-
-
-def filtration_partition(ctx: StandardContext, pair: RichardsonPair) -> dict[WeylElement, int]:
-    return ctx.filtration_partition(pair)

@@ -30,10 +30,12 @@ int per element, built bottom-up, and ``leq`` is a single bit test.
 first use.  The exponential subword test is kept alongside as an
 independent cross-check for the test suite.
 
-The Deodhar lifts ("lambda-maximal in w" / "lambda-minimal on w") are
-computed by brute-force scan over the lifts of a coset, asserting uniqueness
-of the extremal element; a failure of that uniqueness would contradict
-Deodhar's lemma and raises immediately.
+The lifts of a coset are read from one table: ``ParabolicQuotient.lifts``
+maps each class of a coarser quotient W^lam to its members of W^P, built by
+projecting every member once.  A Deodhar lift ("lambda-maximal in w" /
+"lambda-minimal on w") is the unique extremal element among the lifts of a
+class below or above a bound; ``unique_extremal`` asserts that uniqueness,
+and a failure, which would contradict Deodhar's lemma, raises immediately.
 """
 
 from __future__ import annotations
@@ -46,13 +48,8 @@ __all__ = [
     "WeylElement",
     "WeylGroup",
     "ParabolicQuotient",
-    "enumerate_weyl",
-    "bruhat_leq",
     "bruhat_leq_subword",
-    "minimal_coset_reps",
     "stabilizer_subset",
-    "lambda_maximal_lift",
-    "lambda_minimal_lift",
     "unique_extremal",
     "format_word",
     "DEFAULT_ORDER_CAP",
@@ -85,10 +82,6 @@ class WeylElement:
 
     def __hash__(self) -> int:
         return self._hash
-
-    @property
-    def canonical_word(self) -> tuple[int, ...]:
-        return self.word
 
     def apply(self, lam: Weight) -> Weight:
         return Weight(
@@ -205,9 +198,6 @@ class WeylGroup:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def element(self, i: int) -> WeylElement:
-        return self.elements[i]
-
     def idx(self, x: WeylElement) -> int:
         i = x.id
         els = self.elements
@@ -237,14 +227,6 @@ class WeylGroup:
         for j in word:
             k = rmult[k][j]
         return self.elements[k]
-
-    def left_descents(self, x: WeylElement) -> list[int]:
-        xi = self.idx(x)
-        return [
-            j
-            for j in range(self.rank)
-            if self.elements[self.lmult[xi][j]].length < x.length
-        ]
 
     def right_descents(self, x: WeylElement) -> list[int]:
         xi = self.idx(x)
@@ -288,15 +270,6 @@ class WeylGroup:
         if self._borel is None:
             self._borel = ParabolicQuotient(self, ())
         return self._borel.leq(x, y)
-
-
-def enumerate_weyl(rs: RootSystem, order_cap: int = DEFAULT_ORDER_CAP) -> WeylGroup:
-    """Enumerate W with lengths and canonical words; identity comes first."""
-    return WeylGroup(rs, order_cap=order_cap)
-
-
-def bruhat_leq(group: WeylGroup, x: WeylElement, y: WeylElement) -> bool:
-    return group.leq(x, y)
 
 
 def bruhat_leq_subword(group: WeylGroup, x: WeylElement, y: WeylElement) -> bool:
@@ -369,10 +342,7 @@ class ParabolicQuotient:
                 ideal |= self._ideal[k]
             self._covers.append(covers)
             self._ideal.append(ideal)
-
-    @property
-    def root_subset(self) -> frozenset[int]:
-        return self.subset
+        self._lift_tables: dict[frozenset[int], dict] = {}
 
     def __len__(self) -> int:
         return len(self.min_reps)
@@ -391,6 +361,20 @@ class ParabolicQuotient:
                     break
             else:
                 return x
+
+    def lifts(
+        self, quot_lam: ParabolicQuotient
+    ) -> dict[WeylElement, tuple[WeylElement, ...]]:
+        """Each class of the coarser quotient W^lam mapped to its members of
+        W^P (its lifts), in the order of ``min_reps``; built once per W^lam."""
+        table = self._lift_tables.get(quot_lam.subset)
+        if table is None:
+            members: dict[WeylElement, list[WeylElement]] = {}
+            for x in self.min_reps:
+                members.setdefault(quot_lam.project(x), []).append(x)
+            table = {c: tuple(xs) for c, xs in members.items()}
+            self._lift_tables[quot_lam.subset] = table
+        return table
 
     def leq(self, x: WeylElement, y: WeylElement) -> bool:
         """Bruhat order on W^P; raises KeyError unless both are in W^P."""
@@ -441,20 +425,11 @@ class ParabolicQuotient:
         ]
 
 
-def minimal_coset_reps(group: WeylGroup, subset) -> ParabolicQuotient:
-    """The quotient W^P for the parabolic generated by the given simple roots."""
-    return ParabolicQuotient(group, subset)
-
-
 def stabilizer_subset(rs: RootSystem, lam: Weight) -> frozenset[int]:
     """Indices i with <lam, alpha_i^vee> = 0; generates the isotropy group W_lam."""
     if not lam.is_dominant:
         raise ValueError("weight is not dominant")
     return frozenset(i for i, c in enumerate(lam.coords) if c == 0)
-
-
-def _lifts(quot_p: ParabolicQuotient, quot_lam: ParabolicQuotient, x_class: WeylElement):
-    return [x for x in quot_p.min_reps if quot_lam.project(x) == x_class]
 
 
 def unique_extremal(order, candidates, want_max: bool) -> WeylElement:
@@ -477,32 +452,3 @@ def unique_extremal(order, candidates, want_max: bool) -> WeylElement:
         if not ok:
             raise AssertionError("Deodhar uniqueness failed: incomparable lift")
     return e
-
-
-def lambda_maximal_lift(
-    quot_p: ParabolicQuotient,
-    quot_lam: ParabolicQuotient,
-    x_class: WeylElement,
-    w: WeylElement,
-) -> WeylElement | None:
-    """The greatest lift of x_class in W^P below w, i.e. the lift that is
-    lambda-maximal in w.  Returns None when no lift fits below w."""
-    group = quot_p.group
-    cands = [x for x in _lifts(quot_p, quot_lam, x_class) if group.leq(x, w)]
-    if not cands:
-        return None
-    return unique_extremal(group, cands, want_max=True)
-
-
-def lambda_minimal_lift(
-    quot_p: ParabolicQuotient,
-    quot_lam: ParabolicQuotient,
-    x_class: WeylElement,
-    w: WeylElement,
-) -> WeylElement | None:
-    """The least lift of x_class in W^P above w (lambda-minimal on w)."""
-    group = quot_p.group
-    cands = [x for x in _lifts(quot_p, quot_lam, x_class) if group.leq(w, x)]
-    if not cands:
-        return None
-    return unique_extremal(group, cands, want_max=False)

@@ -13,7 +13,7 @@ from collections import Counter
 
 import pytest
 
-from smtkit.admissible import WeightPoset, all_chains_double, enumerate_admissible
+from smtkit.admissible import WeightPoset
 from smtkit.oracle import demazure_character, mass, weyl_dim
 from smtkit.pluecker import (
     all_indices,
@@ -30,23 +30,15 @@ from smtkit.pluecker import (
 )
 from smtkit.rootdata import build_root_system, is_classical_type
 from smtkit.schubert import (
-    fixed_points,
     is_cover,
     chevalley_multiplicity,
-    is_double_divisor,
-    is_moving_divisor,
     make_pair,
     moving_root,
     richardson_contains,
     schubert_divisors,
 )
 from smtkit.smt import StandardContext
-from smtkit.weyl import (
-    enumerate_weyl,
-    lambda_maximal_lift,
-    minimal_coset_reps,
-    stabilizer_subset,
-)
+from smtkit.weyl import ParabolicQuotient, WeylGroup
 
 SEEDS = (1, 2, 3)
 SWEEP_TYPES = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D4"]
@@ -58,7 +50,7 @@ _groups = {}
 def group_of(label):
     if label not in _groups:
         rs = build_root_system(label[0], int(label[1]))
-        _groups[label] = (rs, enumerate_weyl(rs))
+        _groups[label] = (rs, WeylGroup(rs))
     return _groups[label]
 
 
@@ -89,7 +81,7 @@ def test_criterion_01_admissible_count_identity():
     for label in SWEEP_TYPES:
         rs, g = group_of(label)
         for lam in classical_weights(rs, include_zero=True):
-            pairs = enumerate_admissible(g, lam)
+            pairs = WeightPoset(g, lam).pairs()
             assert len(pairs) == weyl_dim(rs, lam), (label, lam.coords)
             checked += 1
             anchor = anchors.get((label, lam.coords))
@@ -103,7 +95,7 @@ def test_criterion_02_character_identity():
     for label in SWEEP_TYPES:
         rs, g = group_of(label)
         for lam in classical_weights(rs, include_zero=True):
-            pairs = enumerate_admissible(g, lam)
+            pairs = WeightPoset(g, lam).pairs()
             neg_xi = Counter(tuple(-c for c in p.weight().coords) for p in pairs)
             full = Counter(demazure_character(rs, g.w_o, lam))
             assert neg_xi == full, (label, lam.coords)
@@ -118,12 +110,12 @@ def test_criterion_03_demazure_restriction():
         for lam in classical_weights(rs):
             poset = WeightPoset(g, lam)
             q = poset.quotient
-            pairs = enumerate_admissible(g, lam)
+            pairs = poset.pairs()
             for w in q.min_reps:
                 count = sum(
                     1
                     for p in pairs
-                    if lambda_maximal_lift(q, q, p.w, w) is not None
+                    if any(g.leq(x, w) for x in q.lifts(q)[p.w])
                 )
                 assert count == mass(demazure_character(rs, w, lam)), (label, lam.coords, w)
                 checked += 1
@@ -248,7 +240,7 @@ def test_criterion_10_structural_lemma_suite():
             # double => moving, and the moving dichotomy + multiplicity transport
             for v, w in covers:
                 cases += 1
-                if is_double_divisor(q, v, w, lam) and not is_moving_divisor(q, v, w):
+                if chevalley_multiplicity(q, v, w, lam) == 2 and moving_root(q, v, w) is None:
                     violations += 1
                 alpha = moving_root(q, v, w)
                 if alpha is None:
@@ -284,14 +276,14 @@ def test_criterion_10_structural_lemma_suite():
                         if len(tops) != 1:
                             violations += 1
             # every chain of every admissible pair is double
-            for p in enumerate_admissible(g, lam):
+            for p in poset.pairs():
                 cases += 1
-                if not all_chains_double(g, lam, p.v, p.w):
+                if not poset.all_chains_double(p.v, p.w):
                     violations += 1
     # containment vs fixed-point criterion, exhaustively on two quotients
     for label, subset in [("A2", set()), ("B2", {0})]:
         rs, g = group_of(label)
-        q = minimal_coset_reps(g, subset)
+        q = ParabolicQuotient(g, subset)
         pairs = [
             make_pair(q, v, w)
             for v in q.min_reps
@@ -299,9 +291,9 @@ def test_criterion_10_structural_lemma_suite():
             if q.leq(v, w)
         ]
         for outer in pairs:
-            fo = set(fixed_points(q, outer))
+            fo = set(q.interval(outer.v, outer.w))
             for inner in pairs:
                 cases += 1
-                if richardson_contains(q, outer, inner) != (set(fixed_points(q, inner)) <= fo):
+                if richardson_contains(q, outer, inner) != (set(q.interval(inner.v, inner.w)) <= fo):
                     violations += 1
     report(10, violations == 0, f"structural lemma suite: {cases} cases, {violations} violations")

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import smtkit
 from smtkit.cli import main
 
 
@@ -159,6 +163,11 @@ def test_hodge_chain_cap_admits_gr36_degree2(capsys):
         ("1,100", 1, "10000 entries in a sampled group element"),
         ("7,8", 1, "319 numbers per point sample"),
         ("2,7", 2, "4116 Schubert indices x restriction chains"),
+        # 175 chains fit, but each of 60 seeds repeats every rank check
+        pytest.param(
+            "3,6 --seeds " + ",".join(str(s) for s in range(1, 61)), 2,
+            "10500 seeds x chains in degree 2", id="3,6-60 seeds-2",
+        ),
     ],
 )
 def test_hodge_work_cap_refuses_before_sampling(capsys, monkeypatch, grassmann, degree, figure):
@@ -170,7 +179,8 @@ def test_hodge_work_cap_refuses_before_sampling(capsys, monkeypatch, grassmann, 
     monkeypatch.setattr(cli, "verify_hodge_i", no_sampling)
     monkeypatch.setattr(cli, "verify_hodge_iii", no_sampling)
     code, out, err = run(
-        capsys, "straighten", "--grassmann", grassmann, "--verify-hodge", "--degree", str(degree)
+        capsys, "straighten", "--grassmann", *grassmann.split(), "--verify-hodge",
+        "--degree", str(degree),
     )
     assert code == 2
     assert out == ""
@@ -205,3 +215,36 @@ def test_broken_invariant_is_a_failed_check(capsys, monkeypatch):
     assert out == ""
     assert err == "error: invariant violated: straightening term violates the order condition\n"
     assert "Traceback" not in err
+
+
+SEQUENCE = [
+    ["admissible", "--type", "A2", "--weight", "1,0"],
+    ["admissible", "--type", "C2", "--weight", "0,1", "--json"],
+    ["smt", "--type", "A2", "--weights", "1,1", "--union", "e:s1.s2+e:s2.s1"],
+    ["smt", "--type", "A2", "--weights", "1,0+0,1", "--pair", "e:w0", "--verify-count"],
+    ["smt", "--type", "A2"],
+    ["admissible", "--type", "G2", "--weight", "1,0"],
+    ["straighten", "--grassmann", "2,4", "--verify-hodge", "--degree", "1", "--json"],
+    ["straighten", "--grassmann", "2,4", "--pair", "14,23"],
+    ["straighten", "--grassmann", "3,9"],
+    ["admissible", "--type", "A2", "--weight", "1,0"],
+]
+
+
+def test_repeated_calls_in_one_process_match_separate_runs(capsys):
+    # the parser is built once per process: no call may leak into the next
+    in_process = []
+    for argv in SEQUENCE:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(smtkit.__file__)))
+    for argv, got in zip(SEQUENCE, in_process):
+        proc = subprocess.run(
+            [sys.executable, "-m", "smtkit.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert got == (proc.returncode, proc.stdout, proc.stderr), argv

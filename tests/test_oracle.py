@@ -12,7 +12,7 @@ from smtkit.oracle import (
     weyl_dim,
 )
 from smtkit.rootdata import build_root_system
-from smtkit.weyl import enumerate_weyl
+from smtkit.weyl import WeylGroup
 
 A2 = build_root_system("A", 2)
 C2 = build_root_system("C", 2)
@@ -62,7 +62,7 @@ def test_demazure_idempotent(c, i):
 
 
 def test_demazure_character_anchors():
-    g = enumerate_weyl(A2)
+    g = WeylGroup(A2)
     lam = A2.fundamental_weight(0)
     assert demazure_character(A2, g.identity, lam) == char_monomial(lam)
     assert demazure_character(A2, g.simple[0], lam) == {(1, 0): 1, (-1, 1): 1}
@@ -73,7 +73,7 @@ def test_demazure_character_anchors():
 
 def test_full_character_mass_equals_weyl_dim():
     for rs in (A2, C2, B3):
-        g = enumerate_weyl(rs)
+        g = WeylGroup(rs)
         sweep = [rs.fundamental_weight(i) for i in range(rs.rank)]
         sweep.append(rs.weight((1,) * rs.rank))
         for lam in sweep:
@@ -82,7 +82,7 @@ def test_full_character_mass_equals_weyl_dim():
 
 def test_reduced_word_independence():
     for rs in (A2, C2):
-        g = enumerate_weyl(rs)
+        g = WeylGroup(rs)
         lam = rs.weight((1,) * rs.rank)
         for el in g.elements:
             results = {
@@ -100,7 +100,7 @@ def test_non_reduced_word_rejected():
 
 
 def test_full_character_is_weyl_invariant():
-    g = enumerate_weyl(C2)
+    g = WeylGroup(C2)
     lam = C2.weight((1, 1))
     full = demazure_character(C2, g.w_o, lam)
     for s in g.simple:
@@ -112,7 +112,7 @@ def test_full_character_is_weyl_invariant():
 
 def test_mass_monotone_along_covers():
     for rs in (A2, C2):
-        g = enumerate_weyl(rs)
+        g = WeylGroup(rs)
         lam = rs.weight((1,) * rs.rank)
         masses = {w: mass(demazure_character(rs, w, lam)) for w in g.elements}
         for w in g.elements:

@@ -5,17 +5,14 @@ from smtkit.schubert import (
     RichardsonPair,
     chevalley_multiplicity,
     extremal_restricts_nonzero,
-    fixed_points,
     is_cover,
-    is_double_divisor,
-    is_moving_divisor,
     lambda_boundary,
     make_pair,
     moving_root,
     richardson_contains,
     schubert_divisors,
 )
-from smtkit.weyl import enumerate_weyl, minimal_coset_reps, stabilizer_subset
+from smtkit.weyl import ParabolicQuotient, WeylGroup, stabilizer_subset
 
 
 def classical_weights(rs):
@@ -38,7 +35,7 @@ def classical_weights(rs):
 
 
 def lambda_quotient(rs, group, lam):
-    return minimal_coset_reps(group, stabilizer_subset(rs, lam))
+    return ParabolicQuotient(group, stabilizer_subset(rs, lam))
 
 
 def covering_pairs(quot):
@@ -48,8 +45,8 @@ def covering_pairs(quot):
 
 
 A2 = build_root_system("A", 2)
-GA2 = enumerate_weyl(A2)
-QB = minimal_coset_reps(GA2, set())
+GA2 = WeylGroup(A2)
+QB = ParabolicQuotient(GA2, set())
 
 
 def test_divisors_of_identity_empty():
@@ -66,9 +63,9 @@ def test_divisors_a2():
 def test_divisor_roots_recover_cover():
     for label in ["A2", "B2", "C2"]:
         rs = build_root_system(label[0], int(label[1]))
-        g = enumerate_weyl(rs)
+        g = WeylGroup(rs)
         for subset in [set(), {0}]:
-            q = minimal_coset_reps(g, subset)
+            q = ParabolicQuotient(g, subset)
             for v, w, beta in covering_pairs(q):
                 s_beta = g.elements[g.index[rs.reflection_weight_matrix(beta)]]
                 assert g.mul(w, s_beta) == v
@@ -76,7 +73,7 @@ def test_divisor_roots_recover_cover():
 
 def test_chevalley_minuscule_always_one():
     a3 = build_root_system("A", 3)
-    g = enumerate_weyl(a3)
+    g = WeylGroup(a3)
     lam = a3.fundamental_weight(1)
     q = lambda_quotient(a3, g, lam)
     for v, w, _ in covering_pairs(q):
@@ -85,7 +82,7 @@ def test_chevalley_minuscule_always_one():
 
 def test_chevalley_c2_has_a_double():
     c2 = build_root_system("C", 2)
-    g = enumerate_weyl(c2)
+    g = WeylGroup(c2)
     lam = c2.fundamental_weight(1)
     q = lambda_quotient(c2, g, lam)
     mults = [chevalley_multiplicity(q, v, w, lam) for v, w, _ in covering_pairs(q)]
@@ -94,7 +91,7 @@ def test_chevalley_c2_has_a_double():
 
 def test_chevalley_consistent_with_pairing():
     c2 = build_root_system("C", 2)
-    g = enumerate_weyl(c2)
+    g = WeylGroup(c2)
     lam = c2.weight((2, 0))
     q = lambda_quotient(c2, g, lam)
     for v, w, beta in covering_pairs(q):
@@ -105,6 +102,13 @@ def test_chevalley_rejects_non_cover():
     q = QB
     with pytest.raises(ValueError):
         chevalley_multiplicity(q, GA2.identity, GA2.w_o, A2.weight((1, 1)))
+
+
+def test_moving_root_rejects_non_cover():
+    with pytest.raises(ValueError):
+        moving_root(QB, GA2.identity, GA2.w_o)
+    s1, s2 = GA2.simple
+    assert moving_root(QB, s2, GA2.mul(s1, s2)) == A2.simple_roots[0]
 
 
 def test_lambda_boundary_vs_divisors():
@@ -127,14 +131,14 @@ def test_lambda_boundary_vs_divisors():
 
 def test_lambda_boundary_requires_character_of_p():
     g = GA2
-    q = minimal_coset_reps(g, {1})
+    q = ParabolicQuotient(g, {1})
     with pytest.raises(ValueError):
         lambda_boundary(q, q.min_reps[1], A2.weight((1, 1)))
 
 
 def test_multiplicity_values_on_boundary_steps():
     c2 = build_root_system("C", 2)
-    g = enumerate_weyl(c2)
+    g = WeylGroup(c2)
     lam = c2.fundamental_weight(1)
     q = lambda_quotient(c2, g, lam)
     for w in q.min_reps:
@@ -146,19 +150,19 @@ def test_multiplicity_values_on_boundary_steps():
 @pytest.mark.parametrize("label", ["A2", "A3", "B2", "B3", "C2", "C3"])
 def test_double_implies_moving(label):
     rs = build_root_system(label[0], int(label[1]))
-    g = enumerate_weyl(rs)
+    g = WeylGroup(rs)
     for lam in classical_weights(rs):
         q = lambda_quotient(rs, g, lam)
         for v, w, _ in covering_pairs(q):
-            if is_double_divisor(q, v, w, lam):
-                assert is_moving_divisor(q, v, w)
+            if chevalley_multiplicity(q, v, w, lam) == 2:
+                assert moving_root(q, v, w) is not None
 
 
 @pytest.mark.parametrize("label", ["A2", "A3", "B2", "B3", "C2", "C3"])
 def test_moving_divisor_dichotomy(label):
     # moving divisor v = s_alpha w: every u <= w satisfies u <= v or s_alpha u <= v
     rs = build_root_system(label[0], int(label[1]))
-    g = enumerate_weyl(rs)
+    g = WeylGroup(rs)
     for lam in classical_weights(rs):
         q = lambda_quotient(rs, g, lam)
         for v, w, _ in covering_pairs(q):
@@ -177,7 +181,7 @@ def test_multiplicity_transport(label):
     # v = s_alpha w moving, u another divisor of w: s_alpha u is a divisor of
     # v with the same Chevalley multiplicity
     rs = build_root_system(label[0], int(label[1]))
-    g = enumerate_weyl(rs)
+    g = WeylGroup(rs)
     for lam in classical_weights(rs):
         q = lambda_quotient(rs, g, lam)
         for v, w, _ in covering_pairs(q):
@@ -225,9 +229,9 @@ def test_containment_matches_fixed_point_sets_exhaustively():
         if QB.leq(v, w)
     ]
     for outer in pairs:
-        fo = set(fixed_points(QB, outer))
+        fo = set(QB.interval(outer.v, outer.w))
         for inner in pairs:
-            fi = set(fixed_points(QB, inner))
+            fi = set(QB.interval(inner.v, inner.w))
             assert richardson_contains(QB, outer, inner) == (fi <= fo)
 
 
@@ -273,7 +277,7 @@ def test_image_of_richardson_need_not_be_richardson():
     pair = make_pair(QB, s2, w)
     lam = A2.fundamental_weight(0)
     ql = lambda_quotient(A2, GA2, lam)
-    image_classes = {ql.project(x) for x in fixed_points(QB, pair)}
+    image_classes = {ql.project(x) for x in QB.interval(pair.v, pair.w)}
     assert image_classes == {ql.project(s2), ql.project(w)}
     assert image_classes == {GA2.identity, w}  # e_{omega_1} and e_{s2s1(omega_1)}
     intervals = {

@@ -7,10 +7,10 @@ from smtkit.oracle import demazure_character, mass, weyl_dim
 from smtkit.rootdata import build_root_system
 from smtkit.schubert import richardson_contains
 from smtkit.smt import RichardsonUnion, StandardContext, make_union
-from smtkit.weyl import enumerate_weyl, stabilizer_subset
+from smtkit.weyl import WeylGroup, stabilizer_subset
 
 A2 = build_root_system("A", 2)
-GA2 = enumerate_weyl(A2)
+GA2 = WeylGroup(A2)
 W1 = A2.fundamental_weight(0)
 W2 = A2.fundamental_weight(1)
 
@@ -103,7 +103,7 @@ def test_greedy_matches_exhaustive_lift_search():
     # ranks <= 2, degree <= 2: greedy certification == brute-force over lifts
     for label, coords in [("A2", ((1, 0), (0, 1))), ("B2", ((1, 0), (0, 1))), ("C2", ((0, 1), (1, 0)))]:
         rs = build_root_system(label[0], int(label[1]))
-        g = enumerate_weyl(rs)
+        g = WeylGroup(rs)
         weights = [rs.weight(c) for c in coords]
         for profile in (weights[:1], weights):
             ctx = StandardContext(g, set(), tuple(profile))
@@ -142,7 +142,7 @@ def test_total_weights_match_oracle_character():
         ("C2", ((1, 0), (1, 0))),
     ]:
         rs = build_root_system(label[0], int(label[1]))
-        g = enumerate_weyl(rs)
+        g = WeylGroup(rs)
         weights = tuple(rs.weight(c) for c in profile)
         total = weights[0] + weights[1]
         ctx = StandardContext(g, set(), weights)
@@ -158,7 +158,7 @@ def test_weight_must_be_character_of_parabolic():
 
 def test_non_classical_weight_rejected():
     g2 = build_root_system("G", 2)
-    g = enumerate_weyl(g2)
+    g = WeylGroup(g2)
     with pytest.raises(ValueError):
         StandardContext(g, set(), (g2.fundamental_weight(0),))
 
@@ -251,7 +251,7 @@ def test_mixed_schubert_counts_match_demazure_mass(label, profile):
     # on (e, w) the standard monomials are a basis of the degree-(sum) space,
     # so their number must equal the Demazure mass for the summed weight
     rs = build_root_system(label[0], int(label[1]))
-    g = enumerate_weyl(rs)
+    g = WeylGroup(rs)
     weights = tuple(rs.weight(c) for c in profile)
     total = weights[0]
     for lam in weights[1:]:

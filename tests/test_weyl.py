@@ -2,15 +2,13 @@ import pytest
 
 from smtkit.rootdata import build_root_system
 from smtkit.weyl import (
-    bruhat_leq,
+    ParabolicQuotient,
+    WeylGroup,
     bruhat_leq_subword,
-    enumerate_weyl,
     format_word,
-    lambda_maximal_lift,
-    lambda_minimal_lift,
-    minimal_coset_reps,
     parse_word,
     stabilizer_subset,
+    unique_extremal,
 )
 
 ORDERS = {("A", 1): 2, ("A", 2): 6, ("A", 3): 24, ("B", 2): 8, ("C", 2): 8, ("B", 3): 48}
@@ -18,25 +16,25 @@ ORDERS = {("A", 1): 2, ("A", 2): 6, ("A", 3): 24, ("B", 2): 8, ("C", 2): 8, ("B"
 
 @pytest.mark.parametrize("family,rank", sorted(ORDERS))
 def test_group_orders(family, rank):
-    g = enumerate_weyl(build_root_system(family, rank))
+    g = WeylGroup(build_root_system(family, rank))
     assert len(g) == ORDERS[(family, rank)]
     assert g.elements[0] is g.identity
 
 
 def test_order_cap():
     with pytest.raises(ValueError):
-        enumerate_weyl(build_root_system("B", 3), order_cap=10)
+        WeylGroup(build_root_system("B", 3), order_cap=10)
 
 
 def test_length_is_inversion_count():
     for label in ["A3", "C2", "B3"]:
-        g = enumerate_weyl(build_root_system(label[0], int(label[1])))
+        g = WeylGroup(build_root_system(label[0], int(label[1])))
         for el in g.elements:
             assert el.length == g.inversions(el)
 
 
 def test_canonical_words_multiply_out_and_are_lex_least():
-    g = enumerate_weyl(build_root_system("B", 2))
+    g = WeylGroup(build_root_system("B", 2))
     for el in g.elements:
         assert g.from_word(el.word) == el
         assert len(el.word) == el.length
@@ -46,40 +44,40 @@ def test_canonical_words_multiply_out_and_are_lex_least():
 def test_longest_element():
     for label in ["A2", "C2", "B3"]:
         rs = build_root_system(label[0], int(label[1]))
-        g = enumerate_weyl(rs)
+        g = WeylGroup(rs)
         assert g.w_o.length == len(rs.positive_roots)
         assert g.mul(g.w_o, g.w_o) == g.identity
         assert all(g.leq(x, g.w_o) for x in g.elements)
 
 
 def test_bruhat_basics():
-    g = enumerate_weyl(build_root_system("A", 2))
+    g = WeylGroup(build_root_system("A", 2))
     s1, s2 = g.simple
     for w in g.elements:
-        assert bruhat_leq(g, g.identity, w)
-    assert bruhat_leq(g, s1, g.mul(s1, s2))
-    assert not bruhat_leq(g, s1, s2)
+        assert g.leq(g.identity, w)
+    assert g.leq(s1, g.mul(s1, s2))
+    assert not g.leq(s1, s2)
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "B2", "A3", "B3", "C3"])
 def test_bruhat_matches_subword_oracle(label):
-    g = enumerate_weyl(build_root_system(label[0], int(label[1])))
+    g = WeylGroup(build_root_system(label[0], int(label[1])))
     for x in g.elements:
         for y in g.elements:
             assert g.leq(x, y) == bruhat_leq_subword(g, x, y)
 
 
 def test_minimal_coset_reps_a2():
-    g = enumerate_weyl(build_root_system("A", 2))
-    q = minimal_coset_reps(g, {1})  # P = P_{omega_1}
+    g = WeylGroup(build_root_system("A", 2))
+    q = ParabolicQuotient(g, {1})  # P = P_{omega_1}
     assert [format_word(x.word) for x in q.min_reps] == ["e", "s1", "s2.s1"]
-    assert len(minimal_coset_reps(g, {0, 1})) == 1
-    assert len(minimal_coset_reps(g, set())) == len(g)
+    assert len(ParabolicQuotient(g, {0, 1})) == 1
+    assert len(ParabolicQuotient(g, set())) == len(g)
 
 
 def test_each_coset_has_unique_minimal_rep():
-    g = enumerate_weyl(build_root_system("C", 2))
-    q = minimal_coset_reps(g, {0})
+    g = WeylGroup(build_root_system("C", 2))
+    q = ParabolicQuotient(g, {0})
     seen = {}
     for x in g.elements:
         rep = q.project(x)
@@ -92,9 +90,9 @@ def test_each_coset_has_unique_minimal_rep():
 
 @pytest.mark.parametrize("label", ["A2", "B2", "A3", "C3"])
 def test_involution_reverses_quotient_order(label):
-    g = enumerate_weyl(build_root_system(label[0], int(label[1])))
+    g = WeylGroup(build_root_system(label[0], int(label[1])))
     for subset in [set(), {0}, {g.rank - 1}]:
-        q = minimal_coset_reps(g, subset)
+        q = ParabolicQuotient(g, subset)
         for x in q.min_reps:
             assert q.order_reversing_involution(q.order_reversing_involution(x)) == x
         for x in q.min_reps:
@@ -107,9 +105,9 @@ def test_involution_reverses_quotient_order(label):
 @pytest.mark.parametrize("label", ["A2", "B2", "A3", "C3", "D4"])
 def test_quotient_is_graded(label):
     # every strict relation refines into covers of length difference one
-    g = enumerate_weyl(build_root_system(label[0], int(label[1])))
+    g = WeylGroup(build_root_system(label[0], int(label[1])))
     for subset in [set(range(g.rank)) - {0}, {0}]:
-        q = minimal_coset_reps(g, subset)
+        q = ParabolicQuotient(g, subset)
         reach = {}
         for w in q.min_reps:  # sorted by length
             below = {w}
@@ -138,26 +136,32 @@ def _lift_scan(group, quot_p, quot_lam, x_class, w, above):
     return [x for x in lifts if group.leq(x, w)]
 
 
+def _extremal_lift(group, quot_p, quot_lam, x_class, w, above):
+    """The least lift above w (or greatest below w) from the scan, or None."""
+    cands = _lift_scan(group, quot_p, quot_lam, x_class, w, above)
+    return unique_extremal(group, cands, want_max=not above) if cands else None
+
+
 @pytest.mark.parametrize("label,coords", [("A2", (1, 0)), ("B2", (0, 1)), ("C2", (0, 1))])
 def test_deodhar_uniqueness_exhaustive(label, coords):
     # Every nonempty lift set below (resp. above) a bound has a unique
     # greatest (resp. least) element; the lift operations assert this too.
     rs = build_root_system(label[0], int(label[1]))
-    g = enumerate_weyl(rs)
+    g = WeylGroup(rs)
     lam = rs.weight(coords)
-    qp = minimal_coset_reps(g, set())
-    ql = minimal_coset_reps(g, stabilizer_subset(rs, lam))
+    qp = ParabolicQuotient(g, set())
+    ql = ParabolicQuotient(g, stabilizer_subset(rs, lam))
     for x_class in ql.min_reps:
         for w in g.elements:
             below = _lift_scan(g, qp, ql, x_class, w, above=False)
-            got = lambda_maximal_lift(qp, ql, x_class, w)
+            got = _extremal_lift(g, qp, ql, x_class, w, above=False)
             if below:
                 assert got == max(below, key=lambda e: e.length)
                 assert all(g.leq(c, got) for c in below)
             else:
                 assert got is None
             above = _lift_scan(g, qp, ql, x_class, w, above=True)
-            got = lambda_minimal_lift(qp, ql, x_class, w)
+            got = _extremal_lift(g, qp, ql, x_class, w, above=True)
             if above:
                 assert got == min(above, key=lambda e: e.length)
                 assert all(g.leq(got, c) for c in above)
@@ -167,20 +171,20 @@ def test_deodhar_uniqueness_exhaustive(label, coords):
 
 def test_lift_examples():
     rs = build_root_system("A", 2)
-    g = enumerate_weyl(rs)
+    g = WeylGroup(rs)
     lam = rs.fundamental_weight(0)
-    ql = minimal_coset_reps(g, stabilizer_subset(rs, lam))
+    ql = ParabolicQuotient(g, stabilizer_subset(rs, lam))
     # regular weight: unique lift, equal to the class itself
-    q_reg = minimal_coset_reps(g, stabilizer_subset(rs, rs.weight((1, 1))))
+    q_reg = ParabolicQuotient(g, stabilizer_subset(rs, rs.weight((1, 1))))
     for x in q_reg.min_reps:
-        assert lambda_maximal_lift(q_reg, q_reg, x, g.w_o) == x
+        assert _extremal_lift(g, q_reg, q_reg, x, g.w_o, above=False) == x
     # P = P_lam: the lift of proj(w) below w, within W^lam, is proj(w)
     for w in ql.min_reps:
-        assert lambda_maximal_lift(ql, ql, ql.project(w), w) == w
+        assert _extremal_lift(g, ql, ql, ql.project(w), w, above=False) == w
     # A2, P = B, lam = omega_1: lift of s1-class below w_o is the coset max
-    qp = minimal_coset_reps(g, set())
+    qp = ParabolicQuotient(g, set())
     s1 = g.simple[0]
-    got = lambda_maximal_lift(qp, ql, s1, g.w_o)
+    got = _extremal_lift(g, qp, ql, s1, g.w_o, above=False)
     assert got == g.from_word((0, 1))  # s1.s2, the longer member of s1 W_lam
 
 
@@ -200,7 +204,7 @@ def _mat_mul(a, b):
 
 @pytest.mark.parametrize("label", ["A3", "B3", "C3", "G2"])
 def test_multiplication_tables(label):
-    g = enumerate_weyl(build_root_system(label[0], int(label[1])))
+    g = WeylGroup(build_root_system(label[0], int(label[1])))
     for i, x in enumerate(g.elements):
         assert g.idx(x) == i == x.id
         for j in range(g.rank):
@@ -215,8 +219,8 @@ def test_multiplication_tables(label):
 @pytest.mark.parametrize("label", ["B3", "C3", "G2"])
 def test_equal_elements_of_separate_groups_agree(label):
     rs = build_root_system(label[0], int(label[1]))
-    g1, g2 = enumerate_weyl(rs), enumerate_weyl(build_root_system(label[0], int(label[1])))
-    q1 = minimal_coset_reps(g1, set())
+    g1, g2 = WeylGroup(rs), WeylGroup(build_root_system(label[0], int(label[1])))
+    q1 = ParabolicQuotient(g1, set())
     for x1, x2 in zip(g1.elements, g2.elements):
         assert x1 is not x2
         assert x1 == x2 and hash(x1) == hash(x2)
