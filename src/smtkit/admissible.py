@@ -66,6 +66,7 @@ class WeightPoset:
         self.rs = rs
         self.lam = lam
         self.quotient = ParabolicQuotient(group, stabilizer_subset(rs, lam))
+        self._images = group.orbit(lam)  # x(lam) for every x, in id order
         # covers below each element, with multiplicities <lam, beta^vee>
         self.covers: dict[WeylElement, list[tuple[WeylElement, int]]] = {}
         for w in self.quotient.min_reps:
@@ -105,9 +106,8 @@ class WeightPoset:
         return tuple(chain)
 
     def xi2(self, v: WeylElement, w: WeylElement) -> tuple[int, ...]:
-        wl = w.apply(self.lam)
-        vl = v.apply(self.lam)
-        return tuple(-(a + b) for a, b in zip(wl.coords, vl.coords))
+        idx, images = self.group.idx, self._images
+        return tuple(-(a + b) for a, b in zip(images[idx(w)], images[idx(v)]))
 
     def pair(self, v: WeylElement, w: WeylElement) -> AdmissiblePair:
         p = AdmissiblePair(v, w, self.witness_chain(v, w), self.xi2(v, w))

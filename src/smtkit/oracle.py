@@ -99,6 +99,7 @@ def demazure_character_along(rs: RootSystem, word, lam: Weight) -> Character:
     Raises if the word is not reduced (detected by a length drop: the number
     of inversions of the product must equal the word length).
     """
+    lam = rs.weight(lam.coords)  # rejects the wrong number of coordinates
     word = tuple(word)
     if _word_inversions(rs, word) != len(word):
         raise ValueError("word is not reduced")

@@ -77,7 +77,7 @@ class Weight:
         return all(c >= 0 for c in self.coords)
 
     def __add__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords, strict=True)))
 
 
 @dataclass(frozen=True)
@@ -117,16 +117,6 @@ class RootSystem:
         if neg in self.coroot_table:
             return tuple(-d for d in self.coroot_table[neg])
         raise ValueError(f"{beta} is not a root of {self.cartan_type}")
-
-    def reflection_weight_matrix(self, beta: Root) -> tuple[tuple[int, ...], ...]:
-        """Matrix of s_beta on the weight lattice, fundamental basis."""
-        f = self.root_in_weight_coords(beta)
-        d = self.coroot(beta)
-        n = self.rank
-        return tuple(
-            tuple((1 if k == j else 0) - f[k] * d[j] for j in range(n))
-            for k in range(n)
-        )
 
 
 def _dynkin_cartan(family: str, rank: int) -> list[list[int]]:
@@ -254,6 +244,8 @@ def parse_cartan_type(label: str, rank_cap: int = DEFAULT_RANK_CAP) -> RootSyste
 
 def pairing(rs: RootSystem, lam: Weight, beta: Root) -> int:
     """The integer <lam, beta^vee>; linear in lam."""
+    if len(lam.coords) != rs.rank:
+        raise ValueError(f"expected {rs.rank} coordinates, got {len(lam.coords)}")
     d = rs.coroot(beta)
     return sum(di * li for di, li in zip(d, lam.coords))
 

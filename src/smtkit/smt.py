@@ -90,7 +90,8 @@ class StandardContext:
         self.group = group
         self.rs = group.rs
         self.quot = ParabolicQuotient(group, parabolic_subset)
-        self.weights: tuple[Weight, ...] = tuple(weights)
+        # rs.weight rejects the wrong number of coordinates before lam.coords[i]
+        self.weights: tuple[Weight, ...] = tuple(self.rs.weight(lam.coords) for lam in weights)
         for lam in self.weights:
             if any(lam.coords[i] != 0 for i in self.quot.subset):
                 raise ValueError(
@@ -184,7 +185,10 @@ class StandardContext:
         return list(seen.values())
 
     def count_on_union(self, union: RichardsonUnion) -> UnionCount:
-        direct = len(self.standard_on_union(union))
+        # each component is enumerated once, for both the count and the
+        # inclusion-exclusion terms
+        per_comp = [self.enumerate(c) for c in union.components]
+        direct = len({mono.factors for monos in per_comp for mono in monos})
         ie = None
         if len(union.components) == 2:
             a, b = union.components
@@ -192,7 +196,7 @@ class StandardContext:
             n_inter = (
                 len(self.standard_on_union(RichardsonUnion(inter))) if inter else 0
             )
-            ie = len(self.enumerate(a)) + len(self.enumerate(b)) - n_inter
+            ie = len(per_comp[0]) + len(per_comp[1]) - n_inter
         return UnionCount(direct, ie)
 
     # -- filtration blocks (single weight, P = P_lam) -----------------------

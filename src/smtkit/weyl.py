@@ -3,20 +3,21 @@
 Every element of W carries an integer id, its position in a breadth-first
 enumeration from the identity.  The enumeration visits words in shortlex
 order, so each element also carries its length and its lexicographically
-least reduced word.  Its action matrix on the weight lattice (fundamental-
-weight basis) is what identifies it: equality and hashing go by the matrix,
-so equal elements of two separately built groups of one type agree, and
-``WeylGroup.index`` maps a matrix back to its id.
+least reduced word.  What identifies an element is an orbit point: x is
+keyed by x^-1(rho), which is distinct for distinct x because rho is regular.
+Equality and hashing go by that point, so equal elements of two separately
+built groups of one type agree, and ``WeylGroup.index`` maps a point back
+to its id.  No matrix is stored or multiplied.
 
-The search runs on orbit points, which cost O(n) a step: it walks the
+The search runs on those points, which cost O(n) a step: it walks the
 inverses y = x^-1 by left multiplication, s_j y(rho) = y(rho) - c alpha_j
 with c the j-th coordinate of y(rho), and meets the x's in the same order
-as a right search would.  Only a new element gets a matrix: x s_j is x with
-column j rewritten to col_j - x(alpha_j).  After the search every query is
-a table lookup: right multiplication by s_j is ``rmult``, inverses come
-from folding ``rmult`` over reversed words, left multiplication is
-s_j x = (x^-1 s_j)^-1, and products fold ``rmult`` over a word.  No matrix
-product is ever taken.
+as a right search would.  After the search every query is a table lookup:
+right multiplication by s_j is ``rmult``, inverses come from folding
+``rmult`` over reversed words, left multiplication is s_j x = (x^-1 s_j)^-1,
+and products fold ``rmult`` over a word.  Weight images come from one
+routine, ``WeylGroup.orbit``: x(mu) = s_j(x'(mu)) for x = s_j x', a step of
+O(n) per element.
 
 Bruhat order is read off W-orbits.  A parabolic quotient W^P is indexed by
 the orbit points y(rho_P), rho_P = sum of the omega_i with i not in P, which
@@ -55,41 +56,32 @@ __all__ = [
     "DEFAULT_ORDER_CAP",
 ]
 
-Matrix = tuple[tuple[int, ...], ...]
-
 DEFAULT_ORDER_CAP = 50_000
 
 
 class WeylElement:
-    """A Weyl group element: weight-lattice action, length, canonical word,
-    and its id (position) in the group that enumerated it."""
+    """A Weyl group element: its orbit point x^-1(rho), which identifies it,
+    its length, canonical word, and its id (position) in the group that
+    enumerated it."""
 
-    __slots__ = ("action", "length", "word", "id", "_hash")
+    __slots__ = ("point", "length", "word", "id", "_hash")
 
-    def __init__(self, action: Matrix, length: int, word: tuple[int, ...], id: int = 0):
-        self.action = action
+    def __init__(self, point: tuple[int, ...], length: int, word: tuple[int, ...], id: int = 0):
+        self.point = point
         self.length = length
         self.word = word
         self.id = id
-        self._hash = hash(action)
+        self._hash = hash(point)
 
     def __eq__(self, other) -> bool:
         return self is other or (
             isinstance(other, WeylElement)
             and self._hash == other._hash
-            and self.action == other.action
+            and self.point == other.point
         )
 
     def __hash__(self) -> int:
         return self._hash
-
-    def apply(self, lam: Weight) -> Weight:
-        return Weight(
-            tuple(
-                sum(row[j] * lam.coords[j] for j in range(len(row)))
-                for row in self.action
-            )
-        )
 
     def __repr__(self) -> str:
         return f"W[{format_word(self.word)}]"
@@ -125,23 +117,19 @@ class WeylGroup:
     def __init__(self, rs: RootSystem, order_cap: int = DEFAULT_ORDER_CAP):
         self.rs = rs
         n = rs.rank
-        ident: Matrix = tuple(
-            tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
-        )
         # alpha_j in weight coordinates is column j of the Cartan matrix
         alphas = [tuple(rs.cartan[k][j] for k in range(n)) for j in range(n)]
 
         # Breadth-first search over the inverses y = x^-1, keyed by the orbit
         # point y(rho): s_j y(rho) = y(rho) - c alpha_j, with c the j-th
-        # coordinate of y(rho), so a step costs O(n) and builds no matrix.
-        # As (x s_j)^-1 = s_j y, the search meets the x's in the shortlex
-        # order of their words, and its table is rmult.
-        elements: list[WeylElement] = [WeylElement(ident, 0, (), 0)]
+        # coordinate of y(rho), so a step costs O(n).  As (x s_j)^-1 = s_j y,
+        # the search meets the x's in the shortlex order of their words, and
+        # its table is rmult.
+        elements: list[WeylElement] = [WeylElement((1,) * n, 0, (), 0)]
         points: dict[tuple[int, ...], int] = {(1,) * n: 0}
-        orbit = [(1,) * n]
         rmult: list[list[int]] = []
         for el in elements:  # grows while it is walked: breadth-first order
-            p = orbit[el.id]
+            p = el.point
             row = []
             for j, alpha in enumerate(alphas):
                 c = p[j]
@@ -153,20 +141,15 @@ class WeylGroup:
                         raise ValueError(
                             f"group order exceeds cap {order_cap} for {rs.cartan_type}"
                         )
-                    # x s_j rewrites column j of x to col_j - x(alpha_j)
-                    m2 = tuple(
-                        r[:j] + (r[j] - sum(a * b for a, b in zip(r, alpha)),) + r[j + 1:]
-                        for r in el.action
-                    )
-                    elements.append(WeylElement(m2, el.length + 1, el.word + (j,), k))
+                    elements.append(WeylElement(p2, el.length + 1, el.word + (j,), k))
                     points[p2] = k
-                    orbit.append(p2)
                 row.append(k)
             rmult.append(row)
 
         self.elements: tuple[WeylElement, ...] = tuple(elements)
-        self.index: dict[Matrix, int] = {x.action: x.id for x in elements}
+        self.index = points
         self.rank = n
+        self._alphas = alphas
         self.identity = elements[0]
         self.simple = tuple(elements[rmult[0][j]] for j in range(n))
         self.rmult = rmult
@@ -187,10 +170,14 @@ class WeylGroup:
         assert len(longest) == 1, "longest element is not unique"
         self.w_o = longest[0]
 
-        # id of s_beta -> beta, for recovering the reflection of a cover
-        self._reflections = {
-            self.index[rs.reflection_weight_matrix(b)]: b for b in rs.positive_roots
-        }
+        # id of s_beta -> beta, for recovering the reflection of a cover.  As
+        # s_beta is an involution, its point is s_beta(rho) = rho - c beta,
+        # with c = <rho, beta^vee> the sum of the coroot's coordinates.
+        self._reflections = {}
+        for b in rs.positive_roots:
+            c = sum(rs.coroot(b))
+            p = tuple(1 - c * a for a in rs.root_in_weight_coords(b))
+            self._reflections[points[p]] = b
         self._borel: ParabolicQuotient | None = None
 
     # -- basic group operations ------------------------------------------
@@ -203,7 +190,7 @@ class WeylGroup:
         els = self.elements
         if i < len(els) and els[i] is x:
             return i
-        return self.index[x.action]
+        return self.index[x.point]
 
     def mul(self, x: WeylElement, y: WeylElement) -> WeylElement:
         k = self.idx(x)
@@ -227,6 +214,18 @@ class WeylGroup:
         for j in word:
             k = rmult[k][j]
         return self.elements[k]
+
+    def orbit(self, mu: Weight) -> list[tuple[int, ...]]:
+        """x(mu) for every x, in id order: x(mu) = s_j(x'(mu)) for x = s_j x',
+        with j the first letter of x's word, at O(n) per element."""
+        images = [self.rs.weight(mu.coords).coords]
+        alphas, lmult = self._alphas, self.lmult
+        for x in self.elements[1:]:
+            j = x.word[0]
+            p = images[lmult[x.id][j]]
+            c = p[j]
+            images.append(tuple(a - c * b for a, b in zip(p, alphas[j])))
+        return images
 
     def right_descents(self, x: WeylElement) -> list[int]:
         xi = self.idx(x)
@@ -318,13 +317,12 @@ class ParabolicQuotient:
 
         # lower covers from the orbit of rho_P, then ideals bottom-up
         rs = group.rs
-        outside = [i for i in range(group.rank) if i not in self.subset]
         roots = [
             (rs.coroot(b), rs.root_in_weight_coords(b)) for b in rs.positive_roots
         ]
-        orbit = [
-            tuple(sum(r[i] for i in outside) for r in y.action) for y in self.min_reps
-        ]
+        rho_p = Weight(tuple(0 if i in self.subset else 1 for i in range(group.rank)))
+        images = group.orbit(rho_p)
+        orbit = [images[y.id] for y in self.min_reps]
         at = {mu: i for i, mu in enumerate(orbit)}
         self._covers: list[tuple[int, ...]] = []
         self._ideal: list[int] = []

@@ -39,6 +39,7 @@ from smtkit.schubert import (
 )
 from smtkit.smt import StandardContext
 from smtkit.weyl import ParabolicQuotient, WeylGroup
+from weyl_matrices import MatrixOracle
 
 SEEDS = (1, 2, 3)
 SWEEP_TYPES = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D4"]
@@ -231,6 +232,7 @@ def test_criterion_10_structural_lemma_suite():
     cases = 0
     for label in RANK3_TYPES:
         rs, g = group_of(label)
+        oracle = MatrixOracle(g)
         for lam in classical_weights(rs):
             poset = WeightPoset(g, lam)
             q = poset.quotient
@@ -245,7 +247,7 @@ def test_criterion_10_structural_lemma_suite():
                 alpha = moving_root(q, v, w)
                 if alpha is None:
                     continue
-                s_alpha = g.elements[g.index[rs.reflection_weight_matrix(alpha)]]
+                s_alpha = g.elements[oracle.reflection_id[alpha.coords]]
                 for u in q.min_reps:
                     if q.leq(u, w):
                         su = q.project(g.mul(s_alpha, u))

@@ -7,6 +7,7 @@ from smtkit.oracle import demazure_character, weyl_dim
 from smtkit.rootdata import build_root_system
 from smtkit.schubert import schubert_divisors
 from smtkit.weyl import WeylGroup
+from weyl_matrices import MatrixOracle
 
 from test_schubert import classical_weights  # shared sweep helper
 
@@ -102,9 +103,10 @@ def test_weight_of_trivial_pair_is_negated_extremal():
     rs = build_root_system("C", 2)
     g = WeylGroup(rs)
     lam = rs.fundamental_weight(1)
+    oracle = MatrixOracle(g)
     for p in WeightPoset(g, lam).pairs():
         if p.is_trivial:
-            assert p.weight().coords == tuple(-c for c in p.w.apply(lam).coords)
+            assert p.weight().coords == tuple(-c for c in oracle.apply(p.w, lam.coords))
 
 
 def test_divisibility_holds_on_sweep():
@@ -123,7 +125,8 @@ def test_extremal_weight_map_is_injective():
         g = WeylGroup(rs)
         for lam in classical_weights(rs):
             poset = WeightPoset(g, lam)
-            images = {x.apply(lam).coords for x in poset.quotient.min_reps}
+            orbit = g.orbit(lam)
+            images = {orbit[x.id] for x in poset.quotient.min_reps}
             assert len(images) == len(poset.quotient.min_reps)
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from smtkit.rootdata import build_root_system
 from smtkit.weyl import ParabolicQuotient, WeylGroup, bruhat_leq_subword
+from weyl_matrices import MatrixOracle, mat_mul
 
 RANK3_TYPES = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2"]
 
@@ -26,11 +27,6 @@ def group_of(label):
     return _GROUPS[label]
 
 
-def _mat_mul(a, b):
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
-
-
 class RecursiveLeq:
     """Bruhat order by the length-recursive descent criterion
 
@@ -39,11 +35,10 @@ class RecursiveLeq:
     memoised on ids; s x is looked up by the product of action matrices."""
 
     def __init__(self, g):
-        rs = g.rs
+        m = MatrixOracle(g)
         self.length = [x.length for x in g.elements]
-        simple = [rs.reflection_weight_matrix(a) for a in rs.simple_roots]
         self.left = [
-            [g.index[_mat_mul(s, x.action)] for s in simple] for x in g.elements
+            [m.index[mat_mul(s, m.matrix[x.id])] for s in m.simple] for x in g.elements
         ]
         self.memo = {}
 

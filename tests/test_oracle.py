@@ -13,6 +13,7 @@ from smtkit.oracle import (
 )
 from smtkit.rootdata import build_root_system
 from smtkit.weyl import WeylGroup
+from weyl_matrices import MatrixOracle
 
 A2 = build_root_system("A", 2)
 C2 = build_root_system("C", 2)
@@ -101,12 +102,13 @@ def test_non_reduced_word_rejected():
 
 def test_full_character_is_weyl_invariant():
     g = WeylGroup(C2)
+    oracle = MatrixOracle(g)
     lam = C2.weight((1, 1))
     full = demazure_character(C2, g.w_o, lam)
     for s in g.simple:
         image = Counter()
         for mu, m in full.items():
-            image[s.apply(C2.weight(mu)).coords] += m
+            image[oracle.apply(s, mu)] += m
         assert image == Counter(full)
 
 

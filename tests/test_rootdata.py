@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from smtkit.admissible import WeightPoset
+from smtkit.oracle import demazure_character, weyl_dim
 from smtkit.rootdata import (
     Root,
     Weight,
@@ -13,6 +15,8 @@ from smtkit.rootdata import (
     parse_cartan_type,
     rho,
 )
+from smtkit.smt import StandardContext
+from smtkit.weyl import WeylGroup
 
 COUNT_FORMULAS = {
     ("A", 1): 1,
@@ -168,3 +172,22 @@ def test_coroot_normalization_never_leaks():
         for beta in rs.positive_roots:
             f = rs.root_in_weight_coords(beta)
             assert sum(a * b for a, b in zip(f, rs.coroot(beta))) == 2
+
+
+@pytest.mark.parametrize("coords", [(1, 0), (1, 0, 0, 1)])
+def test_weight_with_wrong_number_of_coordinates_rejected(coords):
+    a3 = build_root_system("A", 3)
+    g = WeylGroup(a3)
+    lam = Weight(coords)
+    with pytest.raises(ValueError):
+        weyl_dim(a3, lam)
+    with pytest.raises(ValueError):
+        is_classical_type(a3, lam)
+    with pytest.raises(ValueError):
+        demazure_character(a3, g.w_o, lam)
+    with pytest.raises(ValueError):
+        WeightPoset(g, lam)
+    with pytest.raises(ValueError):
+        StandardContext(g, (), (lam,))
+    with pytest.raises(ValueError):
+        g.orbit(lam)

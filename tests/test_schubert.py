@@ -13,6 +13,7 @@ from smtkit.schubert import (
     schubert_divisors,
 )
 from smtkit.weyl import ParabolicQuotient, WeylGroup, stabilizer_subset
+from weyl_matrices import MatrixOracle
 
 
 def classical_weights(rs):
@@ -64,10 +65,11 @@ def test_divisor_roots_recover_cover():
     for label in ["A2", "B2", "C2"]:
         rs = build_root_system(label[0], int(label[1]))
         g = WeylGroup(rs)
+        m = MatrixOracle(g)
         for subset in [set(), {0}]:
             q = ParabolicQuotient(g, subset)
             for v, w, beta in covering_pairs(q):
-                s_beta = g.elements[g.index[rs.reflection_weight_matrix(beta)]]
+                s_beta = g.elements[m.reflection_id[beta.coords]]
                 assert g.mul(w, s_beta) == v
 
 
@@ -163,13 +165,14 @@ def test_moving_divisor_dichotomy(label):
     # moving divisor v = s_alpha w: every u <= w satisfies u <= v or s_alpha u <= v
     rs = build_root_system(label[0], int(label[1]))
     g = WeylGroup(rs)
+    m = MatrixOracle(g)
     for lam in classical_weights(rs):
         q = lambda_quotient(rs, g, lam)
         for v, w, _ in covering_pairs(q):
             alpha = moving_root(q, v, w)
             if alpha is None:
                 continue
-            s_alpha = g.elements[g.index[rs.reflection_weight_matrix(alpha)]]
+            s_alpha = g.elements[m.reflection_id[alpha.coords]]
             for u in q.min_reps:
                 if q.leq(u, w):
                     su = q.project(g.mul(s_alpha, u))
@@ -182,13 +185,14 @@ def test_multiplicity_transport(label):
     # v with the same Chevalley multiplicity
     rs = build_root_system(label[0], int(label[1]))
     g = WeylGroup(rs)
+    m = MatrixOracle(g)
     for lam in classical_weights(rs):
         q = lambda_quotient(rs, g, lam)
         for v, w, _ in covering_pairs(q):
             alpha = moving_root(q, v, w)
             if alpha is None:
                 continue
-            s_alpha = g.elements[g.index[rs.reflection_weight_matrix(alpha)]]
+            s_alpha = g.elements[m.reflection_id[alpha.coords]]
             for step in schubert_divisors(q, w):
                 u = step.child
                 if u == v:

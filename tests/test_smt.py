@@ -194,6 +194,26 @@ def test_union_inclusion_exclusion_a2():
     assert uc.count == expected
 
 
+def test_union_count_enumerates_each_component_once(monkeypatch):
+    lam = A2.weight((1, 1))
+    ctx = StandardContext(GA2, set(), (lam,))
+    X = ctx.pair(GA2.identity, GA2.from_word((0, 1)))
+    Y = ctx.pair(GA2.identity, GA2.from_word((1, 0)))
+    expected = ctx.count_on_union(make_union(ctx.quot, [X, Y]))
+    calls = []
+    enumerate_ = StandardContext.enumerate
+
+    def counting(self, pair):
+        calls.append(pair)
+        return enumerate_(self, pair)
+
+    monkeypatch.setattr(StandardContext, "enumerate", counting)
+    assert ctx.count_on_union(make_union(ctx.quot, [X, Y])) == expected
+    # X, Y and each of the two intersection components, once each
+    assert len(ctx.intersection_components(X, Y)) == 2
+    assert len(calls) == 4 and len(set(calls)) == 4
+
+
 def test_union_intersection_components():
     lam = A2.weight((1, 1))
     ctx = StandardContext(GA2, set(), (lam,))

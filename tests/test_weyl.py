@@ -10,6 +10,7 @@ from smtkit.weyl import (
     stabilizer_subset,
     unique_extremal,
 )
+from weyl_matrices import MatrixOracle, mat_mul
 
 ORDERS = {("A", 1): 2, ("A", 2): 6, ("A", 3): 24, ("B", 2): 8, ("C", 2): 8, ("B", 3): 48}
 
@@ -197,11 +198,6 @@ def test_word_round_trip():
         parse_word("s4", 3)
 
 
-def _mat_mul(a, b):
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
-
-
 @pytest.mark.parametrize("label", ["A3", "B3", "C3", "G2"])
 def test_multiplication_tables(label):
     g = WeylGroup(build_root_system(label[0], int(label[1])))
@@ -210,10 +206,11 @@ def test_multiplication_tables(label):
         for j in range(g.rank):
             assert g.lmul_s(j, x) == g.from_word((j,) + x.word)
             assert g.rmul_s(x, j) == g.from_word(x.word + (j,))
+    m = MatrixOracle(g).matrix
     for x in g.elements:
-        assert _mat_mul(g.inv(x).action, x.action) == g.identity.action
+        assert mat_mul(m[g.inv(x).id], m[x.id]) == m[g.identity.id]
         for y in g.elements:
-            assert g.mul(x, y).action == _mat_mul(x.action, y.action)
+            assert m[g.mul(x, y).id] == mat_mul(m[x.id], m[y.id])
 
 
 @pytest.mark.parametrize("label", ["B3", "C3", "G2"])

@@ -1,0 +1,181 @@
+"""Differential test of the matrix-free Weyl layer against action matrices.
+
+Every element is identified by its orbit point and every weight image comes
+from ``WeylGroup.orbit``; here each element's action matrix is rebuilt from
+its word (tests/weyl_matrices.py) and every query is recomputed from the
+matrices: ids and equality, reflections, W^P, covers with their roots,
+Chevalley multiplicities and moving roots on every parabolic subset, weight
+orbits, and for each classical fundamental weight the lift tables and the
+admissible pairs (words, xi2 and witness chains).  Types of rank <= 4 are
+swept, F4 on its Borel quotient only.
+"""
+
+import itertools
+
+import pytest
+
+from smtkit.admissible import WeightPoset
+from smtkit.rootdata import Weight, build_root_system, is_classical_type
+from smtkit.schubert import chevalley_multiplicity, moving_root, schubert_divisors
+from smtkit.weyl import ParabolicQuotient, WeylGroup
+from weyl_matrices import MatrixOracle, mat_mul, mat_vec
+
+TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "F4"]
+
+_CACHE = {}
+
+
+def setting(label):
+    if label not in _CACHE:
+        g = WeylGroup(build_root_system(label[0], int(label[1:])))
+        _CACHE[label] = (g, MatrixOracle(g))
+    return _CACHE[label]
+
+
+def subsets(label, rank):
+    if label == "F4":
+        return [()]
+    return [s for k in range(rank + 1) for s in itertools.combinations(range(rank), k)]
+
+
+def oracle_min_reps(g, m, subset):
+    """The shortest element of each coset x W_P, a coset named by x(rho_P)."""
+    rho_p = tuple(0 if i in subset else 1 for i in range(g.rank))
+    best = {}
+    for x in g.elements:
+        key = m.apply(x, rho_p)
+        if key not in best or x.length < best[key].length:
+            best[key] = x
+    return sorted(best.values(), key=lambda x: x.id)
+
+
+def oracle_covers(g, m, ids, y):
+    """(child, root) for the v = y s_beta in W^P (ids) of length l(y) - 1."""
+    out = []
+    for beta, k in m.reflection_id.items():
+        v = m.index[mat_mul(m.matrix[y.id], m.matrix[k])]
+        if v in ids and g.elements[v].length == y.length - 1:
+            out.append((v, beta))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("label", TYPES)
+def test_identity_and_reflections_match_matrices(label):
+    g, m = setting(label)
+    g2 = WeylGroup(build_root_system(label[0], int(label[1:])))
+    n = len(g)
+    assert len(g.index) == len(m.index) == n
+    for x in g.elements:
+        assert g.idx(x) == x.id
+        x2, other = g2.elements[x.id], g2.elements[(x.id + 1) % n]
+        assert m.word_matrix(x2.word) == m.matrix[x.id]
+        assert x == x2 and hash(x) == hash(x2) and g.idx(x2) == x.id
+        assert x != other
+        beta = g.reflection_root(x)
+        assert (beta.coords if beta is not None else None) == m.root_of.get(x.id)
+
+
+@pytest.mark.parametrize("label", TYPES)
+def test_orbit_matches_matrices(label):
+    g, m = setting(label)
+    n = g.rank
+    weights = [(1,) * n, (3, -1, 2, 0)[:n]] + [
+        tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
+    ]
+    for mu in weights:
+        assert g.orbit(Weight(mu)) == [mat_vec(a, mu) for a in m.matrix]
+
+
+@pytest.mark.parametrize("label", TYPES)
+def test_quotients_match_matrices(label):
+    g, m = setting(label)
+    for subset in subsets(label, g.rank):
+        q = ParabolicQuotient(g, subset)
+        reps = oracle_min_reps(g, m, subset)
+        assert [x.id for x in q.min_reps] == [x.id for x in reps], subset
+        rho_p = tuple(0 if i in subset else 1 for i in range(g.rank))
+        ids = {x.id for x in reps}
+        for y in reps:
+            want = oracle_covers(g, m, ids, y)
+            assert [v.id for v in q.covers(y)] == [v for v, _ in want], (subset, y)
+            steps = schubert_divisors(q, y)
+            assert [(d.child.id, d.beta.coords) for d in steps] == want, (subset, y)
+            for v, beta in want:
+                child = g.elements[v]
+                got = chevalley_multiplicity(q, child, y, Weight(rho_p))
+                assert got == m.multiplicity(rho_p, beta), (subset, y, child)
+                simple = [
+                    i for i, s in enumerate(m.simple)
+                    if mat_mul(s, m.matrix[y.id]) == m.matrix[v]
+                ]
+                alpha = moving_root(q, child, y)
+                assert (alpha.coords if alpha is not None else None) == (
+                    tuple(1 if k == simple[0] else 0 for k in range(g.rank))
+                    if simple else None
+                ), (subset, y, child)
+
+
+def _key(x):
+    return (x.length, x.word)
+
+
+def oracle_pairs(g, m, lam, reps):
+    """Admissible pairs by the closure of multiplicity-2 covers, with the
+    lex-least witness chain and xi2 = -(w(lam) + v(lam)), from matrices."""
+    ids = {x.id for x in reps}
+    covers = {
+        y.id: sorted(
+            ((g.elements[v], m.multiplicity(lam, beta)) for v, beta in oracle_covers(g, m, ids, y)),
+            key=lambda t: _key(t[0]),
+        )
+        for y in reps
+    }
+    below = {}
+    for y in reps:
+        reach = {y.id}
+        for child, mult in covers[y.id]:
+            if mult == 2:
+                reach |= below[child.id]
+        below[y.id] = reach
+    out = []
+    for w in reps:
+        for v in sorted((g.elements[k] for k in below[w.id]), key=_key):
+            chain, cur = [], w
+            while v != w and cur != v:
+                chain.append(cur.word)
+                cur = next(c for c, mult in covers[cur.id] if mult == 2 and v.id in below[c.id])
+            if chain:
+                chain.append(v.word)
+            xi2 = tuple(-(a + b) for a, b in zip(m.apply(w, lam), m.apply(v, lam)))
+            out.append((v.word, w.word, tuple(chain), xi2))
+    return out
+
+
+@pytest.mark.parametrize("label", TYPES)
+def test_lifts_and_pairs_match_matrices(label):
+    g, m = setting(label)
+    rs = g.rs
+    checked = 0
+    for i in range(g.rank):
+        lam = rs.fundamental_weight(i)
+        if not is_classical_type(rs, lam):
+            continue
+        checked += 1
+        stab = tuple(j for j in range(g.rank) if j != i)
+        reps_lam = oracle_min_reps(g, m, stab)
+        class_of = {m.apply(c, lam.coords): c.id for c in reps_lam}
+        q_lam = ParabolicQuotient(g, stab)
+        for subset in subsets(label, g.rank):
+            if not set(subset) <= set(stab):
+                continue
+            want = {}
+            for x in oracle_min_reps(g, m, subset):
+                want.setdefault(class_of[m.apply(x, lam.coords)], []).append(x.id)
+            got = ParabolicQuotient(g, subset).lifts(q_lam)
+            assert {c.id: [x.id for x in xs] for c, xs in got.items()} == want, (lam, subset)
+        got_pairs = [
+            (p.v.word, p.w.word, tuple(c.word for c in p.double_chain), p.xi2)
+            for p in WeightPoset(g, lam).pairs()
+        ]
+        assert got_pairs == oracle_pairs(g, m, lam.coords, reps_lam), lam
+    assert checked

@@ -1,0 +1,94 @@
+"""Test-local action matrices of Weyl group elements: the reference that the
+matrix-free Weyl layer is checked against.
+
+An element's matrix on the weight lattice (fundamental-weight basis) is the
+product of simple-reflection matrices along its word, and the reflection
+s_beta is u s_i u^-1 for a positive root beta = u(alpha_i).  Only the Cartan
+matrix, the positive-root coordinates and each element's word and id are
+read from smtkit; every action is computed here.
+"""
+
+
+def mat_mul(a, b):
+    bt = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+
+
+def mat_vec(m, v):
+    return tuple(sum(a * b for a, b in zip(row, v)) for row in m)
+
+
+class MatrixOracle:
+    """Action matrices of every element of a WeylGroup, by id.
+
+    ``matrix[id]`` is the element's matrix, ``index`` maps a matrix back to
+    its id, ``simple[i]`` is the matrix of s_i, ``reflection_id[beta]`` is
+    the id of s_beta for a positive root's coordinates, and ``root_of``
+    inverts it.
+    """
+
+    def __init__(self, group):
+        cartan = group.rs.cartan
+        n = len(cartan)
+        self.cartan = cartan
+        # s_i(mu) = mu - mu_i alpha_i, with alpha_i column i of the Cartan matrix
+        self.simple = [
+            tuple(
+                tuple((1 if k == j else 0) - (cartan[k][i] if j == i else 0) for j in range(n))
+                for k in range(n)
+            )
+            for i in range(n)
+        ]
+        self._by_word = {(): tuple(tuple(1 if k == j else 0 for j in range(n)) for k in range(n))}
+        self.matrix = [self.word_matrix(x.word) for x in group.elements]
+        self.index = {m: i for i, m in enumerate(self.matrix)}
+        assert len(self.index) == len(self.matrix), "two elements share a matrix"
+
+        # positive roots as u(alpha_i), found by closing the simple roots
+        # under s_j(c) = c - <beta, alpha_j^vee> e_j on root coordinates
+        found = {tuple(1 if k == i else 0 for k in range(n)): ((), i) for i in range(n)}
+        frontier = list(found)
+        while frontier:
+            nxt = []
+            for c in frontier:
+                word, i = found[c]
+                for j in range(n):
+                    cj = sum(cartan[j][k] * c[k] for k in range(n))
+                    c2 = tuple(c[k] - (cj if k == j else 0) for k in range(n))
+                    if all(x >= 0 for x in c2) and c2 not in found:
+                        found[c2] = ((j,) + word, i)
+                        nxt.append(c2)
+            frontier = nxt
+        assert sorted(found) == sorted(b.coords for b in group.rs.positive_roots)
+        self.reflection_id = {}
+        for c, (word, i) in found.items():
+            m = mat_mul(mat_mul(self.word_matrix(word), self.simple[i]),
+                        self.word_matrix(tuple(reversed(word))))
+            self.reflection_id[c] = self.index[m]
+        self.root_of = {k: c for c, k in self.reflection_id.items()}
+
+    def word_matrix(self, word):
+        word = tuple(word)
+        m = self._by_word.get(word)
+        if m is None:
+            m = mat_mul(self.word_matrix(word[:-1]), self.simple[word[-1]])
+            self._by_word[word] = m
+        return m
+
+    def apply(self, x, coords):
+        """x(mu) for an element x and weight coordinates mu."""
+        return mat_vec(self.matrix[x.id], coords)
+
+    def root_in_weight_coords(self, coords):
+        n = len(self.cartan)
+        return tuple(sum(self.cartan[k][j] * coords[j] for j in range(n)) for k in range(n))
+
+    def multiplicity(self, coords, beta):
+        """<mu, beta^vee>, read off mu - s_beta(mu) = <mu, beta^vee> beta."""
+        image = mat_vec(self.matrix[self.reflection_id[beta]], coords)
+        diff = [a - b for a, b in zip(coords, image)]
+        b = self.root_in_weight_coords(beta)
+        k = next(k for k, x in enumerate(b) if x)
+        c = diff[k] // b[k]
+        assert diff == [c * x for x in b]
+        return c
