@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .rootdata import Weight, is_classical_type, pairing
 from .schubert import schubert_divisors
-from .weyl import ParabolicQuotient, WeylElement, WeylGroup, stabilizer_subset
+from .weyl import WeylElement, WeylGroup, stabilizer_subset
 
 __all__ = ["AdmissiblePair", "WeightPoset"]
 
@@ -65,8 +65,8 @@ class WeightPoset:
         self.group = group
         self.rs = rs
         self.lam = lam
-        self.quotient = ParabolicQuotient(group, stabilizer_subset(rs, lam))
-        self._images = group.orbit(lam)  # x(lam) for every x, in id order
+        self.quotient = group.quotient(stabilizer_subset(rs, lam))
+        self._images = self.quotient.orbit(lam)  # x(lam), in the order of min_reps
         # covers below each element, with multiplicities <lam, beta^vee>
         self.covers: dict[WeylElement, list[tuple[WeylElement, int]]] = {}
         for w in self.quotient.min_reps:
@@ -106,8 +106,8 @@ class WeightPoset:
         return tuple(chain)
 
     def xi2(self, v: WeylElement, w: WeylElement) -> tuple[int, ...]:
-        idx, images = self.group.idx, self._images
-        return tuple(-(a + b) for a, b in zip(images[idx(w)], images[idx(v)]))
+        pos, images = self.quotient.pos, self._images
+        return tuple(-(a + b) for a, b in zip(images[pos[w]], images[pos[v]]))
 
     def pair(self, v: WeylElement, w: WeylElement) -> AdmissiblePair:
         p = AdmissiblePair(v, w, self.witness_chain(v, w), self.xi2(v, w))

@@ -53,6 +53,10 @@ HODGE_SWEEP_CAP = 4000
 # the two figures above, times the number of seeds: three seeds always fit
 HODGE_SEEDED_CHAIN_CAP = 3 * HODGE_CHAIN_CAP
 HODGE_SEEDED_SWEEP_CAP = 3 * HODGE_SWEEP_CAP
+CAP_HELP = (
+    "bound on the size of every enumeration: |W^P| for each parabolic quotient, "
+    "|W| if all of W is built (default: %(default)s)"
+)
 
 
 class UsageError(Exception):
@@ -74,15 +78,16 @@ def _parse_weights(text: str, rank: int) -> list[Weight]:
     return [_parse_weight(p, rank) for p in text.split("+")]
 
 
-def _parse_element(text: str, group: WeylGroup):
+def _parse_element(text: str, quot):
+    """An element of W^P from a word, or its top from "w0"."""
     text = text.strip()
     if text == "w0":
-        return group.w_o
+        return quot.top()
     try:
-        word = parse_word(text, group.rank)
+        word = parse_word(text, quot.group.rank)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return group.from_word(word)
+    return quot.from_word(word)
 
 
 def _parse_parabolic(text: str, rank: int) -> frozenset[int]:
@@ -169,8 +174,7 @@ def cmd_smt(args) -> int:
         vt, _, wt = text.partition(":")
         if not wt:
             raise UsageError(f"pair {text!r} must look like v:w")
-        v, w = _parse_element(vt, group), _parse_element(wt, group)
-        return ctx.pair(ctx.quot.project(v), ctx.quot.project(w))
+        return ctx.pair(_parse_element(vt, ctx.quot), _parse_element(wt, ctx.quot))
 
     failures: list[str] = []
     lines: list[str] = []
@@ -367,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("admissible", help="enumerate admissible pairs and verify counts")
     pa.add_argument("--type", required=True)
     pa.add_argument("--weight", required=True)
-    pa.add_argument("--cap", type=int, default=DEFAULT_ORDER_CAP)
+    pa.add_argument("--cap", type=int, default=DEFAULT_ORDER_CAP, help=CAP_HELP)
     pa.add_argument("--json", action="store_true")
     pa.set_defaults(func=cmd_admissible)
 
@@ -379,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--union", default=None)
     ps.add_argument("--verify-count", action="store_true")
     ps.add_argument("--verify-filtration", action="store_true")
-    ps.add_argument("--cap", type=int, default=DEFAULT_ORDER_CAP)
+    ps.add_argument("--cap", type=int, default=DEFAULT_ORDER_CAP, help=CAP_HELP)
     ps.add_argument("--json", action="store_true")
     ps.set_defaults(func=cmd_smt)
 

@@ -2,9 +2,11 @@
 
 Covers in a parabolic quotient are length-difference-1 Bruhat relations
 between minimal representatives; such a relation is always a cover in the
-full group, so its reflection is pinned down exactly: v = w s_beta with
-s_beta = w^{-1} v.  A covering step that fails to produce a reflection is a
-hard error, never silently repaired.
+full group, so its reflection is pinned down exactly.  The quotient keeps
+the left root of each cover, v = s_gamma w, and the right root is
+beta = -w^{-1}(gamma), so that v = w s_beta; it is folded along w's word on
+root coordinates.  A covering step that fails to produce a positive root is
+a hard error, never silently repaired.
 
 Boundaries are plain lists of divisor children; no geometry is represented
 beyond the poset data that downstream counting needs.
@@ -62,12 +64,14 @@ class DivisorStep:
     multiplicity: int | None = None
 
 
-def _cover_root(quot: ParabolicQuotient, v: WeylElement, w: WeylElement) -> Root:
-    """The positive root beta with v = w s_beta, for a cover v < w in W^P."""
-    g = quot.group
-    t = g.mul(g.inv(w), v)
-    beta = g.reflection_root(t)
-    if beta is None:
+def _cover_root(rs, w: WeylElement, gamma: Root) -> Root:
+    """The positive root beta = -w^{-1}(gamma) with v = w s_beta, for the
+    cover v = s_gamma w: s_i(c) = c - <c, alpha_i^vee> e_i along w's word."""
+    c = list(gamma.coords)
+    for i in w.word:
+        c[i] -= sum(a * b for a, b in zip(rs.cartan[i], c))
+    beta = Root.from_coords(tuple(-x for x in c))
+    if not beta.is_positive:
         raise AssertionError("covering pair is not a reflection step")
     return beta
 
@@ -76,9 +80,10 @@ def schubert_divisors(quot: ParabolicQuotient, w: WeylElement) -> list[DivisorSt
     """All covering co-relations v < w inside W^P, each with its root."""
     if w not in quot:
         raise ValueError("w must be a minimal coset representative")
+    rs = quot.group.rs
     return [
-        DivisorStep(parent=w, child=v, beta=_cover_root(quot, v, w))
-        for v in quot.covers(w)
+        DivisorStep(parent=w, child=v, beta=_cover_root(rs, w, gamma))
+        for v, gamma in quot.cover_roots(w).items()
     ]
 
 
@@ -92,8 +97,8 @@ def chevalley_multiplicity(
     """m_lam(v, w) = <lam, beta^vee> where v = w s_beta covers in W^lam."""
     if not is_cover(quot_lam, v, w):
         raise ValueError("(v, w) is not a covering pair")
-    beta = _cover_root(quot_lam, v, w)
-    return pairing(quot_lam.group.rs, lam, beta)
+    rs = quot_lam.group.rs
+    return pairing(rs, lam, _cover_root(rs, w, quot_lam.cover_roots(w)[v]))
 
 
 def lambda_boundary(
@@ -104,6 +109,7 @@ def lambda_boundary(
     Equals all of the boundary exactly when lam is P-regular.
     """
     rs = quot.group.rs
+    lam = rs.weight(lam.coords)  # rejects the wrong number of coordinates
     if not lam.is_dominant:
         raise ValueError("weight is not dominant")
     if any(lam.coords[i] != 0 for i in quot.subset):
@@ -120,11 +126,8 @@ def moving_root(quot_lam: ParabolicQuotient, v: WeylElement, w: WeylElement) -> 
     """The simple alpha with v = s_alpha w, if the divisor is moving, else None."""
     if not is_cover(quot_lam, v, w):
         raise ValueError("(v, w) is not a covering pair")
-    g = quot_lam.group
-    beta = g.reflection_root(g.mul(v, g.inv(w)))
-    if beta is not None and beta.height == 1:
-        return beta
-    return None
+    gamma = quot_lam.cover_roots(w)[v]  # v = s_gamma w
+    return gamma if gamma.height == 1 else None
 
 
 def richardson_contains(

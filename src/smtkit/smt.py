@@ -89,7 +89,7 @@ class StandardContext:
     def __init__(self, group: WeylGroup, parabolic_subset, weights):
         self.group = group
         self.rs = group.rs
-        self.quot = ParabolicQuotient(group, parabolic_subset)
+        self.quot = group.quotient(parabolic_subset)
         # rs.weight rejects the wrong number of coordinates before lam.coords[i]
         self.weights: tuple[Weight, ...] = tuple(self.rs.weight(lam.coords) for lam in weights)
         for lam in self.weights:

@@ -1,47 +1,50 @@
 """Weyl groups, Bruhat order, parabolic quotients, and Deodhar lifts.
 
-Every element of W carries an integer id, its position in a breadth-first
-enumeration from the identity.  The enumeration visits words in shortlex
-order, so each element also carries its length and its lexicographically
-least reduced word.  What identifies an element is an orbit point: x is
-keyed by x^-1(rho), which is distinct for distinct x because rho is regular.
-Equality and hashing go by that point, so equal elements of two separately
-built groups of one type agree, and ``WeylGroup.index`` maps a point back
-to its id.  No matrix is stored or multiplied.
+An element is identified by its Cartan type and its canonical word, the
+lexicographically least reduced word.  Equality and hashing go by them, so
+one element met in W, in W^P, in W^lam or in a separately built group
+compares equal; its ``id`` is its position in the run that built it.
 
-The search runs on those points, which cost O(n) a step: it walks the
-inverses y = x^-1 by left multiplication, s_j y(rho) = y(rho) - c alpha_j
-with c the j-th coordinate of y(rho), and meets the x's in the same order
-as a right search would.  After the search every query is a table lookup:
-right multiplication by s_j is ``rmult``, inverses come from folding
-``rmult`` over reversed words, left multiplication is s_j x = (x^-1 s_j)^-1,
-and products fold ``rmult`` over a word.  Weight images come from one
-routine, ``WeylGroup.orbit``: x(mu) = s_j(x'(mu)) for x = s_j x', a step of
-O(n) per element.
+One routine builds every parabolic quotient W^P, and W itself is the case
+P = {}: a breadth-first search over the orbit points mu = x(rho_P), where
+rho_P is the sum of the omega_i with i not in P, so that distinct x in W^P
+have distinct points.  From mu, s_j lengthens x and stays in W^P exactly
+when mu_j > 0, and the left descents of x are the i with mu_i < 0.  So the
+canonical word of x is its least left descent i followed by the word of its
+parent s_i x; sorting each length by word keeps the run in shortlex order.
+A step costs O(n): s_j(mu) = mu - mu_j alpha_j.  Everything else is read
+off points.  The coset x W_P is named by x(rho_P), so ``project`` and
+``from_word`` fold a word on rho_P and look the point up; ``lifts`` groups
+the members of W^P by their point x(rho_lam) in a coarser quotient;
+``orbit`` steps along the parent chain; and the order-reversing involution
+is w_o(x(rho_P)).  A quotient costs O(|W^P|), never O(|W|).
 
-Bruhat order is read off W-orbits.  A parabolic quotient W^P is indexed by
-the orbit points y(rho_P), rho_P = sum of the omega_i with i not in P, which
-are distinct for distinct y in W^P.  For a positive root beta with
-c = <y(rho_P), beta^vee> < 0, the point y(rho_P) - c beta = s_beta y(rho_P)
-names the coset of s_beta y; when its representative has length l(y) - 1 it
-is a lower cover of y, and every cover arises this way.  W^P is graded, so
-the order ideal below y is bit(y) OR the ideals of its covers: one Python
-int per element, built bottom-up, and ``leq`` is a single bit test.
-``WeylGroup.leq`` is the test of the Borel quotient (rho_P = rho), built on
-first use.  The exponential subword test is kept alongside as an
-independent cross-check for the test suite.
+``WeylGroup`` is a cheap handle on the root system: the identity, the simple
+reflections and w_o, whose word is peeled off the point -rho.  Its element
+list is the run of the Borel quotient, made only when a caller asks for all
+of W, and ``WeylGroup.quotient`` shares one quotient per subset among
+the callers that hold it.  ``order_cap`` bounds the size of every run.
 
-The lifts of a coset are read from one table: ``ParabolicQuotient.lifts``
-maps each class of a coarser quotient W^lam to its members of W^P, built by
-projecting every member once.  A Deodhar lift ("lambda-maximal in w" /
-"lambda-minimal on w") is the unique extremal element among the lifts of a
-class below or above a bound; ``unique_extremal`` asserts that uniqueness,
-and a failure, which would contradict Deodhar's lemma, raises immediately.
+Bruhat order is read off the same points.  For a positive root gamma with
+c = <y(rho_P), gamma^vee> < 0, the point y(rho_P) - c gamma names the coset
+of s_gamma y; when its representative has length l(y) - 1 it is the lower
+cover s_gamma y itself, and every cover arises this way.  Each cover keeps
+its left root gamma.  W^P is graded, so the order ideal below y is bit(y)
+OR the ideals of its covers: one Python int per element, built bottom-up on
+first use, and ``leq`` is a single bit test.  The exponential subword test
+is kept alongside as an independent cross-check for the test suite.
+
+A Deodhar lift ("lambda-maximal in w" / "lambda-minimal on w") is the unique
+extremal element among the lifts of a class below or above a bound;
+``unique_extremal`` asserts that uniqueness, and a failure, which would
+contradict Deodhar's lemma, raises immediately.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import weakref
 
 from .rootdata import Root, RootSystem, Weight
 
@@ -60,24 +63,25 @@ DEFAULT_ORDER_CAP = 50_000
 
 
 class WeylElement:
-    """A Weyl group element: its orbit point x^-1(rho), which identifies it,
-    its length, canonical word, and its id (position) in the group that
-    enumerated it."""
+    """A Weyl group element, identified by its Cartan type and canonical
+    (lexicographically least reduced) word; ``id`` is its position in the
+    run that built it, and -1, the last position of W, for w_o."""
 
-    __slots__ = ("point", "length", "word", "id", "_hash")
+    __slots__ = ("cartan_type", "word", "length", "id", "_hash")
 
-    def __init__(self, point: tuple[int, ...], length: int, word: tuple[int, ...], id: int = 0):
-        self.point = point
-        self.length = length
+    def __init__(self, cartan_type: str, word: tuple[int, ...], id: int = 0):
+        self.cartan_type = cartan_type
         self.word = word
+        self.length = len(word)
         self.id = id
-        self._hash = hash(point)
+        self._hash = hash((cartan_type, word))
 
     def __eq__(self, other) -> bool:
         return self is other or (
             isinstance(other, WeylElement)
             and self._hash == other._hash
-            and self.point == other.point
+            and self.word == other.word
+            and self.cartan_type == other.cartan_type
         )
 
     def __hash__(self) -> int:
@@ -111,163 +115,92 @@ def parse_word(text: str, rank: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _act(alphas, word, mu: tuple[int, ...]) -> tuple[int, ...]:
+    """x(mu) for the x spelled by word: s_j(mu) = mu - mu_j alpha_j, last letter first."""
+    for j in reversed(word):
+        c = mu[j]
+        if c:
+            mu = tuple(a - c * b for a, b in zip(mu, alphas[j]))
+    return mu
+
+
+def _least_descent(mu: tuple[int, ...]) -> int | None:
+    """The least left descent of the x with orbit point mu: the first i with mu_i < 0."""
+    return next((i for i, c in enumerate(mu) if c < 0), None)
+
+
 class WeylGroup:
-    """A fully enumerated finite Weyl group with multiplication tables."""
+    """A finite Weyl group: a handle on its root system holding the identity,
+    the simple reflections and w_o.  The element list, ``len``, ``leq``,
+    ``from_word``, ``mul``, ``inv`` and ``orbit`` build all of W (the Borel
+    quotient) on first use."""
 
     def __init__(self, rs: RootSystem, order_cap: int = DEFAULT_ORDER_CAP):
         self.rs = rs
-        n = rs.rank
+        self.rank = n = rs.rank
+        self.order_cap = order_cap
         # alpha_j in weight coordinates is column j of the Cartan matrix
-        alphas = [tuple(rs.cartan[k][j] for k in range(n)) for j in range(n)]
+        self._alphas = [tuple(rs.cartan[k][j] for k in range(n)) for j in range(n)]
+        t = rs.cartan_type
+        self.identity = WeylElement(t, (), 0)
+        self.simple = tuple(WeylElement(t, (j,), j + 1) for j in range(n))
+        # w_o(rho) = -rho: peel least left descents off the point until rho
+        mu, word = (-1,) * n, []
+        while (i := _least_descent(mu)) is not None:
+            word.append(i)
+            mu = _act(self._alphas, (i,), mu)
+        self.w_o = WeylElement(t, tuple(word), -1)
+        # weak, so that a quotient, which refers back to its group, is freed
+        # with its last user rather than kept in a cycle until collection
+        self._quotients = weakref.WeakValueDictionary()
 
-        # Breadth-first search over the inverses y = x^-1, keyed by the orbit
-        # point y(rho): s_j y(rho) = y(rho) - c alpha_j, with c the j-th
-        # coordinate of y(rho), so a step costs O(n).  As (x s_j)^-1 = s_j y,
-        # the search meets the x's in the shortlex order of their words, and
-        # its table is rmult.
-        elements: list[WeylElement] = [WeylElement((1,) * n, 0, (), 0)]
-        points: dict[tuple[int, ...], int] = {(1,) * n: 0}
-        rmult: list[list[int]] = []
-        for el in elements:  # grows while it is walked: breadth-first order
-            p = el.point
-            row = []
-            for j, alpha in enumerate(alphas):
-                c = p[j]
-                p2 = tuple(a - c * b for a, b in zip(p, alpha))
-                k = points.get(p2)
-                if k is None:
-                    k = len(elements)
-                    if k >= order_cap:
-                        raise ValueError(
-                            f"group order exceeds cap {order_cap} for {rs.cartan_type}"
-                        )
-                    elements.append(WeylElement(p2, el.length + 1, el.word + (j,), k))
-                    points[p2] = k
-                row.append(k)
-            rmult.append(row)
+    def quotient(self, subset) -> ParabolicQuotient:
+        """W^P for a subset P of the simple roots, shared by every caller
+        while one holds it."""
+        key = frozenset(int(i) for i in subset)
+        q = self._quotients.get(key)
+        if q is None:
+            q = self._quotients[key] = ParabolicQuotient(self, key)
+        return q
 
-        self.elements: tuple[WeylElement, ...] = tuple(elements)
-        self.index = points
-        self.rank = n
-        self._alphas = alphas
-        self.identity = elements[0]
-        self.simple = tuple(elements[rmult[0][j]] for j in range(n))
-        self.rmult = rmult
-        inverse = []
-        for x in elements:
-            k = 0
-            for j in reversed(x.word):
-                k = rmult[k][j]
-            inverse.append(k)
-        self._inverse = inverse
-        # s_j x = (x^-1 s_j)^-1
-        self.lmult = [
-            [inverse[rmult[inverse[i]][j]] for j in range(n)]
-            for i in range(len(elements))
-        ]
-        top_len = max(el.length for el in elements)
-        longest = [el for el in elements if el.length == top_len]
-        assert len(longest) == 1, "longest element is not unique"
-        self.w_o = longest[0]
+    @functools.cached_property
+    def _borel(self) -> ParabolicQuotient:
+        return self.quotient(())
 
-        # id of s_beta -> beta, for recovering the reflection of a cover.  As
-        # s_beta is an involution, its point is s_beta(rho) = rho - c beta,
-        # with c = <rho, beta^vee> the sum of the coroot's coordinates.
-        self._reflections = {}
-        for b in rs.positive_roots:
-            c = sum(rs.coroot(b))
-            p = tuple(1 - c * a for a in rs.root_in_weight_coords(b))
-            self._reflections[points[p]] = b
-        self._borel: ParabolicQuotient | None = None
-
-    # -- basic group operations ------------------------------------------
+    @property
+    def elements(self) -> tuple[WeylElement, ...]:
+        """All of W in shortlex order; the id of each is its position."""
+        return self._borel.min_reps
 
     def __len__(self) -> int:
-        return len(self.elements)
-
-    def idx(self, x: WeylElement) -> int:
-        i = x.id
-        els = self.elements
-        if i < len(els) and els[i] is x:
-            return i
-        return self.index[x.point]
-
-    def mul(self, x: WeylElement, y: WeylElement) -> WeylElement:
-        k = self.idx(x)
-        rmult = self.rmult
-        for j in y.word:
-            k = rmult[k][j]
-        return self.elements[k]
-
-    def inv(self, x: WeylElement) -> WeylElement:
-        return self.elements[self._inverse[self.idx(x)]]
-
-    def rmul_s(self, x: WeylElement, j: int) -> WeylElement:
-        return self.elements[self.rmult[self.idx(x)][j]]
-
-    def lmul_s(self, j: int, x: WeylElement) -> WeylElement:
-        return self.elements[self.lmult[self.idx(x)][j]]
+        return len(self._borel)
 
     def from_word(self, word) -> WeylElement:
-        k = 0
-        rmult = self.rmult
-        for j in word:
-            k = rmult[k][j]
-        return self.elements[k]
+        return self._borel.from_word(word)
+
+    def mul(self, x: WeylElement, y: WeylElement) -> WeylElement:
+        return self.from_word(x.word + y.word)
+
+    def inv(self, x: WeylElement) -> WeylElement:
+        return self.from_word(x.word[::-1])
 
     def orbit(self, mu: Weight) -> list[tuple[int, ...]]:
-        """x(mu) for every x, in id order: x(mu) = s_j(x'(mu)) for x = s_j x',
-        with j the first letter of x's word, at O(n) per element."""
-        images = [self.rs.weight(mu.coords).coords]
-        alphas, lmult = self._alphas, self.lmult
-        for x in self.elements[1:]:
-            j = x.word[0]
-            p = images[lmult[x.id][j]]
-            c = p[j]
-            images.append(tuple(a - c * b for a, b in zip(p, alphas[j])))
-        return images
-
-    def right_descents(self, x: WeylElement) -> list[int]:
-        xi = self.idx(x)
-        return [
-            j
-            for j in range(self.rank)
-            if self.elements[self.rmult[xi][j]].length < x.length
-        ]
+        """x(mu) for every x of W, in id order."""
+        return self._borel.orbit(mu)
 
     def reflection_root(self, x: WeylElement) -> Root | None:
-        """The positive root beta with x = s_beta, or None."""
-        return self._reflections.get(self.idx(x))
-
-    def root_image(self, x: WeylElement, beta: Root) -> Root:
-        """x(beta), computed by folding simple reflections on root coordinates."""
-        c = list(beta.coords)
-        n = self.rank
-        for i in reversed(x.word):
-            ci = sum(self.rs.cartan[i][j] * c[j] for j in range(n))
-            c[i] -= ci
-        return Root.from_coords(tuple(c))
-
-    def inversions(self, x: WeylElement) -> int:
-        return sum(
-            1 for b in self.rs.positive_roots if not self.root_image(x, b).is_positive
-        )
-
-    def reduced_words(self, x: WeylElement):
-        """Yield every reduced word of x (exponential; test-sized inputs only)."""
-        if x.length == 0:
-            yield ()
-            return
-        for j in self.right_descents(x):
-            for w in self.reduced_words(self.rmul_s(x, j)):
-                yield w + (j,)
-
-    # -- Bruhat order ------------------------------------------------------
+        """The positive root beta with x = s_beta, or None; as s_beta(rho) =
+        rho - <rho, beta^vee> beta, it is read off the point x(rho)."""
+        rs = self.rs
+        mu = _act(self._alphas, x.word, (1,) * self.rank)
+        for b in rs.positive_roots:
+            c = sum(rs.coroot(b))
+            if mu == tuple(1 - c * a for a in rs.root_in_weight_coords(b)):
+                return b
+        return None
 
     def leq(self, x: WeylElement, y: WeylElement) -> bool:
-        """Bruhat order: the bitset test of the Borel quotient, built on first use."""
-        if self._borel is None:
-            self._borel = ParabolicQuotient(self, ())
+        """Bruhat order: the bitset test of the Borel quotient."""
         return self._borel.leq(x, y)
 
 
@@ -285,62 +218,85 @@ def bruhat_leq_subword(group: WeylGroup, x: WeylElement, y: WeylElement) -> bool
 class ParabolicQuotient:
     """Minimal coset representatives W^P with the induced Bruhat order.
 
-    ``min_reps`` keeps the group's order (by length, then shortlex word) and
-    ``pos`` maps a representative to its position there.  Each position owns
-    its lower covers and its order ideal as a bitset over positions.
+    ``min_reps`` is in shortlex order (by length, then word), ``pos`` maps
+    a representative to its position there, and ``_points`` holds its orbit
+    point x(rho_P) at that position.  Each position owns its lower covers,
+    with their left roots, and its order ideal as a bitset over positions,
+    built on first use.
     """
 
     def __init__(self, group: WeylGroup, subset):
         self.group = group
         self.subset = frozenset(int(i) for i in subset)
+        n = group.rank
         for i in self.subset:
-            if not 0 <= i < group.rank:
+            if not 0 <= i < n:
                 raise ValueError(f"simple root index {i} out of range")
-        els, rmult = group.elements, group.rmult
-        self.min_reps: tuple[WeylElement, ...] = tuple(
-            x
-            for x in els
-            if all(els[rmult[x.id][j]].length > x.length for j in self.subset)
-        )
-        self.pos = {x: i for i, x in enumerate(self.min_reps)}
-        # the longest element of W_P: climb while some s_j, j in P, lengthens
-        w = group.identity
-        while True:
-            for j in self.subset:
-                up = els[rmult[w.id][j]]
-                if up.length > w.length:
-                    w = up
-                    break
-            else:
-                break
-        self.w_oP = w
+        alphas, t = group._alphas, group.rs.cartan_type
+        self.rho_p = tuple(0 if i in self.subset else 1 for i in range(n))
 
-        # lower covers from the orbit of rho_P, then ideals bottom-up
-        rs = group.rs
-        roots = [
-            (rs.coroot(b), rs.root_in_weight_coords(b)) for b in rs.positive_roots
-        ]
-        rho_p = Weight(tuple(0 if i in self.subset else 1 for i in range(group.rank)))
-        images = group.orbit(rho_p)
-        orbit = [images[y.id] for y in self.min_reps]
-        at = {mu: i for i, mu in enumerate(orbit)}
-        self._covers: list[tuple[int, ...]] = []
-        self._ideal: list[int] = []
-        for i, (y, mu) in enumerate(zip(self.min_reps, orbit)):
-            below = set()
-            for co, beta in roots:
-                c = sum(a * b for a, b in zip(co, mu))
-                if c < 0:
-                    k = at[tuple(m - c * b for m, b in zip(mu, beta))]
-                    if self.min_reps[k].length == y.length - 1:
-                        below.add(k)
-            covers = tuple(sorted(below))
-            ideal = 1 << i
-            for k in covers:
-                ideal |= self._ideal[k]
-            self._covers.append(covers)
-            self._ideal.append(ideal)
+        # breadth-first over the points mu = x(rho_P), one length at a time
+        reps, points, parent = [group.identity], [self.rho_p], [0]
+        at = {self.rho_p: 0}
+        start = 0
+        while start < len(reps):
+            level, start = range(start, len(reps)), len(reps)
+            found = dict.fromkeys(
+                tuple(a - c * b for a, b in zip(points[k], alphas[j]))
+                for k in level
+                for j, c in enumerate(points[k])
+                if c > 0
+            )
+            if len(reps) + len(found) > group.order_cap:
+                raise ValueError(
+                    f"W^P exceeds cap {group.order_cap} for {t}, P = {sorted(self.subset)}"
+                )
+            # a new point's least left descent i leads to its parent s_i x
+            new = []
+            for nu in found:
+                i = _least_descent(nu)
+                k = at[_act(alphas, (i,), nu)]
+                new.append(((i,) + reps[k].word, nu, k))
+            for word, nu, k in sorted(new):
+                at[nu] = len(reps)
+                reps.append(WeylElement(t, word, len(reps)))
+                points.append(nu)
+                parent.append(k)
+        self.min_reps: tuple[WeylElement, ...] = tuple(reps)
+        self._points = points
+        self.pos = {x: i for i, x in enumerate(reps)}
+        self._at = at
+        self._parent = parent
         self._lift_tables: dict[frozenset[int], dict] = {}
+        self._covers: list[tuple[tuple[int, Root], ...]] | None = None
+        self._ideal: list[int] | None = None
+
+    def _bruhat(self) -> list[int]:
+        """The order ideals, built on first use with the lower covers: for
+        each y, (position, gamma) of each cover s_gamma y.  (A class-level
+        cached property would slow every ``self._ideal`` in ``leq``.)"""
+        if self._ideal is None:
+            rs, at, reps = self.group.rs, self._at, self.min_reps
+            roots = [
+                (b, rs.coroot(b), rs.root_in_weight_coords(b)) for b in rs.positive_roots
+            ]
+            covers, ideal = [], []
+            for i, (y, mu) in enumerate(zip(reps, self._points)):
+                below = []
+                for gamma, co, b in roots:
+                    c = sum(a * m for a, m in zip(co, mu))
+                    if c < 0:
+                        k = at[tuple(m - c * a for m, a in zip(mu, b))]
+                        if reps[k].length == y.length - 1:
+                            below.append((k, gamma))
+                below.sort(key=lambda t: t[0])
+                bits = 1 << i
+                for k, _gamma in below:
+                    bits |= ideal[k]
+                covers.append(tuple(below))
+                ideal.append(bits)
+            self._covers, self._ideal = covers, ideal
+        return self._ideal
 
     def __len__(self) -> int:
         return len(self.min_reps)
@@ -348,28 +304,35 @@ class ParabolicQuotient:
     def __contains__(self, x: WeylElement) -> bool:
         return x in self.pos
 
+    def from_word(self, word) -> WeylElement:
+        """The representative of the coset (s_{i1} ... s_{ik}) W_P of any word."""
+        return self.min_reps[self._at[_act(self.group._alphas, tuple(word), self.rho_p)]]
+
     def project(self, x: WeylElement) -> WeylElement:
         """Minimal-length representative of the coset x W_P."""
-        g = self.group
-        while True:
-            for j in self.subset:
-                y = g.rmul_s(x, j)
-                if y.length < x.length:
-                    x = y
-                    break
-            else:
-                return x
+        return self.from_word(x.word)
+
+    def orbit(self, mu: Weight) -> list[tuple[int, ...]]:
+        """x(mu) for every x in W^P, in the order of ``min_reps``:
+        x(mu) = s_i(x'(mu)) for the parent x' = s_i x, at O(n) per element."""
+        alphas, parent = self.group._alphas, self._parent
+        images = [self.group.rs.weight(mu.coords).coords]
+        for x, k in zip(self.min_reps[1:], parent[1:]):
+            images.append(_act(alphas, x.word[:1], images[k]))
+        return images
 
     def lifts(
         self, quot_lam: ParabolicQuotient
     ) -> dict[WeylElement, tuple[WeylElement, ...]]:
         """Each class of the coarser quotient W^lam mapped to its members of
-        W^P (its lifts), in the order of ``min_reps``; built once per W^lam."""
+        W^P (its lifts), in the order of ``min_reps``; a member's class is
+        named by its point x(rho_lam).  Built once per W^lam."""
         table = self._lift_tables.get(quot_lam.subset)
         if table is None:
+            classes, at = quot_lam.min_reps, quot_lam._at
             members: dict[WeylElement, list[WeylElement]] = {}
-            for x in self.min_reps:
-                members.setdefault(quot_lam.project(x), []).append(x)
+            for x, mu in zip(self.min_reps, self.orbit(Weight(quot_lam.rho_p))):
+                members.setdefault(classes[at[mu]], []).append(x)
             table = {c: tuple(xs) for c, xs in members.items()}
             self._lift_tables[quot_lam.subset] = table
         return table
@@ -377,11 +340,18 @@ class ParabolicQuotient:
     def leq(self, x: WeylElement, y: WeylElement) -> bool:
         """Bruhat order on W^P; raises KeyError unless both are in W^P."""
         pos = self.pos
-        return (self._ideal[pos[y]] >> pos[x]) & 1 == 1
+        return ((self._ideal or self._bruhat())[pos[y]] >> pos[x]) & 1 == 1
+
+    def cover_roots(self, y: WeylElement) -> dict[WeylElement, Root]:
+        """Each lower cover v of y in W^P, in the order of ``min_reps``, with
+        the positive root gamma such that v = s_gamma y."""
+        self._bruhat()
+        reps = self.min_reps
+        return {reps[k]: gamma for k, gamma in self._covers[self.pos[y]]}
 
     def covers(self, y: WeylElement) -> list[WeylElement]:
         """The lower covers of y in W^P, in the order of ``min_reps``."""
-        return [self.min_reps[k] for k in self._covers[self.pos[y]]]
+        return list(self.cover_roots(y))
 
     def of_length(self, k: int) -> list[WeylElement]:
         return [x for x in self.min_reps if x.length == k]
@@ -390,37 +360,24 @@ class ParabolicQuotient:
         return [x for x in self.min_reps if self.leq(v, x) and self.leq(x, w)]
 
     def top(self) -> WeylElement:
-        return max(self.min_reps, key=lambda e: e.length)
+        """The longest element of W^P, the last of ``min_reps``."""
+        return self.min_reps[-1]
 
     def order_reversing_involution(self, w: WeylElement) -> WeylElement:
-        """The map w -> w_o w w_{o,P}; lands back in W^P and reverses <=."""
-        g = self.group
-        img = g.mul(g.mul(g.w_o, w), self.w_oP)
-        if img not in self.pos:
-            raise AssertionError("involution left W^P")
-        return img
+        """The map w -> w_o w w_{o,P}, read off the point w_o(w(rho_P));
+        lands back in W^P and reverses <=."""
+        mu = self._points[self.pos[w]]
+        return self.min_reps[self._at[_act(self.group._alphas, self.group.w_o.word, mu)]]
 
     def max_lower_bounds(self, xs) -> list[WeylElement]:
-        xs = list(xs)
-        common = [
-            z for z in self.min_reps if all(self.leq(z, x) for x in xs)
-        ]
-        return [
-            z
-            for z in common
-            if not any(z2 is not z and self.leq(z, z2) for z2 in common)
-        ]
+        leq = self.leq
+        common = [z for z in self.min_reps if all(leq(z, x) for x in xs)]
+        return [z for z in common if not any(z2 is not z and leq(z, z2) for z2 in common)]
 
     def min_upper_bounds(self, xs) -> list[WeylElement]:
-        xs = list(xs)
-        common = [
-            z for z in self.min_reps if all(self.leq(x, z) for x in xs)
-        ]
-        return [
-            z
-            for z in common
-            if not any(z2 is not z and self.leq(z2, z) for z2 in common)
-        ]
+        leq = self.leq
+        common = [z for z in self.min_reps if all(leq(x, z) for x in xs)]
+        return [z for z in common if not any(z2 is not z and leq(z2, z) for z2 in common)]
 
 
 def stabilizer_subset(rs: RootSystem, lam: Weight) -> frozenset[int]:

@@ -126,7 +126,7 @@ def test_extremal_weight_map_is_injective():
         for lam in classical_weights(rs):
             poset = WeightPoset(g, lam)
             orbit = g.orbit(lam)
-            images = {orbit[x.id] for x in poset.quotient.min_reps}
+            images = {orbit[g.from_word(x.word).id] for x in poset.quotient.min_reps}
             assert len(images) == len(poset.quotient.min_reps)
 
 

@@ -46,6 +46,11 @@ COMMANDS = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
+    "admissible --type E6 --weight 1,0,0,0,0,0": (
+        0,
+        "04a532a0c35bf78a314aff04414602bb825e9e4e70b15c9b771ec9534d8ae6f7",
+        "bcc27daddf8d6467116a64b4de97ad666e5b107fd0d694ef6029d0d3baa2e954",
+    ),
     "smt --type A2 --parabolic none --weights 1,0+0,1 --pair e:w0 --verify-count": (
         0,
         "b9f9c82009413b83a6c20d9d951d52b06b95d1f525129c5a23cd5dd8e842ca8d",

@@ -13,7 +13,7 @@ from smtkit.oracle import (
 )
 from smtkit.rootdata import build_root_system
 from smtkit.weyl import WeylGroup
-from weyl_matrices import MatrixOracle
+from weyl_matrices import MatrixOracle, reduced_words
 
 A2 = build_root_system("A", 2)
 C2 = build_root_system("C", 2)
@@ -88,7 +88,7 @@ def test_reduced_word_independence():
         for el in g.elements:
             results = {
                 tuple(sorted(demazure_character_along(rs, w, lam).items()))
-                for w in g.reduced_words(el)
+                for w in reduced_words(g, el)
             }
             assert len(results) == 1
 

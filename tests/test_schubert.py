@@ -1,6 +1,6 @@
 import pytest
 
-from smtkit.rootdata import build_root_system, is_classical_type, pairing
+from smtkit.rootdata import Weight, build_root_system, is_classical_type, pairing
 from smtkit.schubert import (
     RichardsonPair,
     chevalley_multiplicity,
@@ -136,6 +136,18 @@ def test_lambda_boundary_requires_character_of_p():
     q = ParabolicQuotient(g, {1})
     with pytest.raises(ValueError):
         lambda_boundary(q, q.min_reps[1], A2.weight((1, 1)))
+
+
+@pytest.mark.parametrize("coords", [(1,), (1, 0, 0, 1), (1, 0, 0, 0, 5)])
+def test_lambda_boundary_rejects_wrong_length_weight(coords):
+    # A3 with P = {s3}: a short weight used to raise IndexError and a long
+    # one to return [] at w = e
+    a3 = build_root_system("A", 3)
+    g = WeylGroup(a3)
+    q = ParabolicQuotient(g, {2})
+    for w in (g.identity, q.top()):
+        with pytest.raises(ValueError):
+            lambda_boundary(q, w, Weight(coords))
 
 
 def test_multiplicity_values_on_boundary_steps():

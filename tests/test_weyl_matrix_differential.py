@@ -1,13 +1,16 @@
 """Differential test of the matrix-free Weyl layer against action matrices.
 
-Every element is identified by its orbit point and every weight image comes
-from ``WeylGroup.orbit``; here each element's action matrix is rebuilt from
-its word (tests/weyl_matrices.py) and every query is recomputed from the
-matrices: ids and equality, reflections, W^P, covers with their roots,
-Chevalley multiplicities and moving roots on every parabolic subset, weight
-orbits, and for each classical fundamental weight the lift tables and the
-admissible pairs (words, xi2 and witness chains).  Types of rank <= 4 are
-swept, F4 on its Borel quotient only.
+Every element is identified by its canonical word, and every quotient and
+weight image is read off orbit points; here each element's action matrix is
+rebuilt from its word (tests/weyl_matrices.py) and every query is recomputed
+from the matrices: ids and equality, reflections, W^P, covers with their
+roots, Chevalley multiplicities and moving roots on every parabolic subset,
+weight orbits, projections, quotient words, the order-reversing involution
+and per-quotient orbits, and for each classical fundamental weight the lift
+tables and the admissible pairs (words, xi2 and witness chains).  Types of
+rank <= 4 are swept; F4 is swept on its Borel quotient only, except for the
+point-based queries, which cover its every subset.  Quotient elements are
+compared with W by word.
 """
 
 import itertools
@@ -64,12 +67,13 @@ def test_identity_and_reflections_match_matrices(label):
     g, m = setting(label)
     g2 = WeylGroup(build_root_system(label[0], int(label[1:])))
     n = len(g)
-    assert len(g.index) == len(m.index) == n
+    pos = g.quotient(()).pos
+    assert len(set(g.elements)) == len(pos) == len(m.index) == n
     for x in g.elements:
-        assert g.idx(x) == x.id
+        assert pos[x] == x.id
         x2, other = g2.elements[x.id], g2.elements[(x.id + 1) % n]
         assert m.word_matrix(x2.word) == m.matrix[x.id]
-        assert x == x2 and hash(x) == hash(x2) and g.idx(x2) == x.id
+        assert x == x2 and hash(x) == hash(x2) and pos[x2] == x.id
         assert x != other
         beta = g.reflection_root(x)
         assert (beta.coords if beta is not None else None) == m.root_of.get(x.id)
@@ -92,14 +96,15 @@ def test_quotients_match_matrices(label):
     for subset in subsets(label, g.rank):
         q = ParabolicQuotient(g, subset)
         reps = oracle_min_reps(g, m, subset)
-        assert [x.id for x in q.min_reps] == [x.id for x in reps], subset
+        assert [x.word for x in q.min_reps] == [x.word for x in reps], subset
         rho_p = tuple(0 if i in subset else 1 for i in range(g.rank))
         ids = {x.id for x in reps}
         for y in reps:
             want = oracle_covers(g, m, ids, y)
-            assert [v.id for v in q.covers(y)] == [v for v, _ in want], (subset, y)
+            assert [g.from_word(v.word).id for v in q.covers(y)] == [v for v, _ in want], (subset, y)
             steps = schubert_divisors(q, y)
-            assert [(d.child.id, d.beta.coords) for d in steps] == want, (subset, y)
+            assert [(g.from_word(d.child.word).id, d.beta.coords) for d in steps] == want, (
+                subset, y)
             for v, beta in want:
                 child = g.elements[v]
                 got = chevalley_multiplicity(q, child, y, Weight(rho_p))
@@ -163,19 +168,46 @@ def test_lifts_and_pairs_match_matrices(label):
         checked += 1
         stab = tuple(j for j in range(g.rank) if j != i)
         reps_lam = oracle_min_reps(g, m, stab)
-        class_of = {m.apply(c, lam.coords): c.id for c in reps_lam}
+        class_of = {m.apply(c, lam.coords): c.word for c in reps_lam}
         q_lam = ParabolicQuotient(g, stab)
         for subset in subsets(label, g.rank):
             if not set(subset) <= set(stab):
                 continue
             want = {}
             for x in oracle_min_reps(g, m, subset):
-                want.setdefault(class_of[m.apply(x, lam.coords)], []).append(x.id)
+                want.setdefault(class_of[m.apply(x, lam.coords)], []).append(x.word)
             got = ParabolicQuotient(g, subset).lifts(q_lam)
-            assert {c.id: [x.id for x in xs] for c, xs in got.items()} == want, (lam, subset)
+            assert {c.word: [x.word for x in xs] for c, xs in got.items()} == want, (lam, subset)
         got_pairs = [
             (p.v.word, p.w.word, tuple(c.word for c in p.double_chain), p.xi2)
             for p in WeightPoset(g, lam).pairs()
         ]
         assert got_pairs == oracle_pairs(g, m, lam.coords, reps_lam), lam
     assert checked
+
+
+@pytest.mark.parametrize("label", TYPES)
+def test_point_queries_match_matrices(label):
+    # project, quotient from_word, the involution w -> w_o w w_{o,P} and the
+    # per-quotient orbit, on every parabolic subset
+    g, m = setting(label)
+    n = g.rank
+    w_o = max(g.elements, key=lambda x: x.length)
+    assert g.w_o == w_o and g.w_o.word == w_o.word
+    for subset in [s for k in range(n + 1) for s in itertools.combinations(range(n), k)]:
+        q = ParabolicQuotient(g, subset)
+        rho_p = tuple(0 if i in subset else 1 for i in range(n))
+        rep_of = {m.apply(x, rho_p): x for x in oracle_min_reps(g, m, subset)}
+        w_op = max((x for x in g.elements if m.apply(x, rho_p) == rho_p), key=lambda x: x.length)
+        s_rho_p = [mat_vec(s, rho_p) for s in m.simple]
+        for x in g.elements:
+            assert q.project(x).word == rep_of[m.apply(x, rho_p)].word, (subset, x)
+            for j in range(n):
+                xs_j = rep_of[mat_vec(m.matrix[x.id], s_rho_p[j])]  # x s_j (rho_P)
+                assert q.from_word(x.word + (j,)).word == xs_j.word, (subset, x, j)
+        for w in q.min_reps:
+            image = mat_mul(mat_mul(m.matrix[w_o.id], m.word_matrix(w.word)), m.matrix[w_op.id])
+            want = g.elements[m.index[image]]
+            assert q.order_reversing_involution(w).word == want.word, (subset, w)
+        for mu in [(1,) * n, (3, -1, 2, 0)[:n], rho_p]:
+            assert q.orbit(Weight(mu)) == [m.apply(x, mu) for x in q.min_reps], (subset, mu)

@@ -6,6 +6,9 @@ product of simple-reflection matrices along its word, and the reflection
 s_beta is u s_i u^-1 for a positive root beta = u(alpha_i).  Only the Cartan
 matrix, the positive-root coordinates and each element's word and id are
 read from smtkit; every action is computed here.
+
+The word helpers at the end (root images, inversions, right descents and
+all reduced words) serve the tests only.
 """
 
 
@@ -76,8 +79,9 @@ class MatrixOracle:
         return m
 
     def apply(self, x, coords):
-        """x(mu) for an element x and weight coordinates mu."""
-        return mat_vec(self.matrix[x.id], coords)
+        """x(mu) for an element x of any quotient, from its word, and weight
+        coordinates mu."""
+        return mat_vec(self.word_matrix(x.word), coords)
 
     def root_in_weight_coords(self, coords):
         n = len(self.cartan)
@@ -92,3 +96,37 @@ class MatrixOracle:
         c = diff[k] // b[k]
         assert diff == [c * x for x in b]
         return c
+
+
+def root_image(group, x, coords):
+    """x(beta) in simple-root coordinates, folding simple reflections."""
+    cartan, c = group.rs.cartan, list(coords)
+    for i in reversed(x.word):
+        c[i] -= sum(cartan[i][j] * c[j] for j in range(len(c)))
+    return tuple(c)
+
+
+def inversions(group, x):
+    """The number of positive roots that x sends to negative roots."""
+    return sum(
+        1 for b in group.rs.positive_roots if min(root_image(group, x, b.coords)) < 0
+    )
+
+
+def right_descents(group, x):
+    """The j with l(x s_j) < l(x), that is x(alpha_j) < 0."""
+    n = group.rank
+    return [
+        j for j in range(n)
+        if min(root_image(group, x, tuple(int(k == j) for k in range(n)))) < 0
+    ]
+
+
+def reduced_words(group, x):
+    """Yield every reduced word of x (exponential; test-sized inputs only)."""
+    if x.length == 0:
+        yield ()
+        return
+    for j in right_descents(group, x):
+        for w in reduced_words(group, group.from_word(x.word + (j,))):
+            yield w + (j,)
