@@ -164,6 +164,8 @@ def cmd_admissible(args) -> int:
 
 
 def cmd_smt(args) -> int:
+    if args.union and (args.verify_count or args.verify_filtration):
+        raise UsageError("--verify-count and --verify-filtration check a --pair, not a --union")
     rs = parse_cartan_type(args.type)
     weights = _parse_weights(args.weights, rs.rank)
     group = WeylGroup(rs, order_cap=args.cap)

@@ -7,11 +7,18 @@ when interleaved lifts exist in W^P:
 
     v <= v~_m <= w~_m <= ... <= v~_1 <= w~_1 <= w.
 
-Certification is greedy from below: v~_m is taken lambda_m-minimal on v,
-w~_m lambda_m-minimal on v~_m, and so on upward.  Greedy lifts are least
-among all lifts above the running bound (Deodhar), so a greedy failure rules
-out every other choice of lifts; the test suite cross-checks this against an
-exhaustive search over all lift tuples on small cases.
+One walk decides standardness.  It grows chains from the bottom factor up,
+level by level: each prefix (factors i..m-1 with their lifts) carries its
+top lift as the bound, and factor i extends it by v~_i lambda_i-minimal on
+the bound and w~_i lambda_i-minimal on v~_i.  Greedy lifts are least among
+all lifts above the running bound (Deodhar), and the lifts of a standard
+monomial ascend from v to w.  So a prefix whose greedy lift is missing, or is
+not <= w, has no completion at all, and dropping it there loses nothing;
+the test suite cross-checks the greedy rule against an exhaustive search
+over all lift tuples on small cases.  ``enumerate`` walks every factor's
+admissible pairs and sorts the survivors by their choice indices, which is
+the order of the cartesian product of the pair lists; ``certify`` walks one
+pair per factor.
 
 Standardness is order-sensitive: the factor for lam_1 is the top of the
 chain.  Counting on a union of Richardson pairs takes "standard on some
@@ -23,7 +30,6 @@ identity checkable for two components.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .admissible import AdmissiblePair, WeightPoset
@@ -42,15 +48,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StandardMonomial:
-    """A sequence of admissible pairs with certifying lifts, when standard.
+    """A standard sequence of admissible pairs with its certifying lifts.
 
-    lifts, when present, is the ascending chain
-    (v~_m, w~_m, ..., v~_1, w~_1) in W^P.
+    lifts is the ascending chain (v~_m, w~_m, ..., v~_1, w~_1) in W^P.
     """
 
     factors: tuple[AdmissiblePair, ...]
-    weights: tuple[Weight, ...]
-    lifts: tuple[WeylElement, ...] | None
+    lifts: tuple[WeylElement, ...]
     total_weight: Weight
 
 
@@ -125,40 +129,35 @@ class StandardContext:
         factors = tuple(factors)
         if len(factors) != len(self.weights):
             raise ValueError("one factor per weight is required")
-        cur = pair.v
-        lifts: list[WeylElement] = []
-        for i in range(len(factors) - 1, -1, -1):
-            f = factors[i]
-            a = self.min_lift_above(i, f.v, cur)
-            if a is None:
-                return None
-            b = self.min_lift_above(i, f.w, a)
-            if b is None:
-                return None
-            lifts.extend((a, b))
-            cur = b
-        if not self.quot.leq(cur, pair.w):
-            return None
-        return tuple(lifts)
-
-    def monomial(self, factors, pair: RichardsonPair) -> StandardMonomial | None:
-        lifts = self.certify(factors, pair)
-        if lifts is None:
-            return None
-        factors = tuple(factors)
-        total = Weight((0,) * self.rs.rank)
-        for f in factors:
-            total = total + f.weight()
-        return StandardMonomial(factors, self.weights, lifts, total)
+        found = self._walk([(f,) for f in factors], pair)
+        return found[0].lifts if found else None
 
     def enumerate(self, pair: RichardsonPair) -> list[StandardMonomial]:
-        out = []
-        pair_lists = [p.pairs() for p in self.posets]
-        for combo in itertools.product(*pair_lists):
-            mono = self.monomial(combo, pair)
-            if mono is not None:
-                out.append(mono)
-        return out
+        return self._walk([p.pairs() for p in self.posets], pair)
+
+    def _walk(self, choices, pair: RichardsonPair) -> list[StandardMonomial]:
+        """The standard monomials on pair with factor i drawn from choices[i],
+        in product order of the choices."""
+        leq = self.quot.leq
+        # a state is (choice indices, factors, lifts, bound) for factors i..m-1
+        states = [((), (), (), pair.v)] if leq(pair.v, pair.w) else []
+        for i in range(len(choices) - 1, -1, -1):
+            grown = []
+            for idx, fs, lifts, bound in states:
+                for j, f in enumerate(choices[i]):
+                    a = self.min_lift_above(i, f.v, bound)
+                    if a is None:
+                        continue
+                    b = self.min_lift_above(i, f.w, a)
+                    if b is not None and leq(b, pair.w):
+                        grown.append(((j,) + idx, (f,) + fs, lifts + (a, b), b))
+            states = grown
+        states.sort(key=lambda s: s[0])
+        zero = Weight((0,) * self.rs.rank)
+        return [
+            StandardMonomial(fs, lifts, sum((f.weight() for f in fs), zero))
+            for _idx, fs, lifts, _bound in states
+        ]
 
     # -- unions ------------------------------------------------------------
 
@@ -176,28 +175,21 @@ class StandardContext:
         ]
         return make_union(self.quot, comps).components
 
-    def standard_on_union(self, union: RichardsonUnion) -> list[StandardMonomial]:
-        """Monomials standard on at least one component, without repetition."""
-        seen: dict[tuple[AdmissiblePair, ...], StandardMonomial] = {}
-        for comp in union.components:
-            for mono in self.enumerate(comp):
-                seen.setdefault(mono.factors, mono)
-        return list(seen.values())
-
     def count_on_union(self, union: RichardsonUnion) -> UnionCount:
-        # each component is enumerated once, for both the count and the
-        # inclusion-exclusion terms
-        per_comp = [self.enumerate(c) for c in union.components]
-        direct = len({mono.factors for monos in per_comp for mono in monos})
+        """Count the monomials standard on at least one component.
+
+        Each component is enumerated once, for both the count and the
+        inclusion-exclusion terms."""
+        sets = [{m.factors for m in self.enumerate(c)} for c in union.components]
         ie = None
-        if len(union.components) == 2:
-            a, b = union.components
-            inter = self.intersection_components(a, b)
-            n_inter = (
-                len(self.standard_on_union(RichardsonUnion(inter))) if inter else 0
-            )
-            ie = len(per_comp[0]) + len(per_comp[1]) - n_inter
-        return UnionCount(direct, ie)
+        if len(sets) == 2:
+            inter = {
+                m.factors
+                for c in self.intersection_components(*union.components)
+                for m in self.enumerate(c)
+            }
+            ie = len(sets[0]) + len(sets[1]) - len(inter)
+        return UnionCount(len(set().union(*sets)), ie)
 
     # -- filtration blocks (single weight, P = P_lam) -----------------------
 

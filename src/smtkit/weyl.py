@@ -391,19 +391,15 @@ def unique_extremal(order, candidates, want_max: bool) -> WeylElement:
     """The unique greatest (or least) element of a nonempty candidate set.
 
     ``order`` is anything with a Bruhat ``leq``: a WeylGroup, or a
-    ParabolicQuotient holding every candidate.  Uniqueness here is Deodhar's
-    lemma; its failure is a hard error, never a silently arbitrary choice.
+    ParabolicQuotient holding every candidate.  x < y in Bruhat order forces
+    l(x) < l(y), so a least element, when there is one, is the unique
+    shortest candidate (a greatest one the unique longest): the shortest
+    candidate is compared with every other, O(k) tests in all.  Uniqueness
+    here is Deodhar's lemma; its failure is a hard error, never a silently
+    arbitrary choice.
     """
     leq = order.leq
-    if want_max:
-        ext = [c for c in candidates if not any(d is not c and leq(c, d) for d in candidates)]
-    else:
-        ext = [c for c in candidates if not any(d is not c and leq(d, c) for d in candidates)]
-    if len(ext) != 1:
-        raise AssertionError("Deodhar uniqueness failed: multiple extremal lifts")
-    e = ext[0]
-    for c in candidates:
-        ok = leq(c, e) if want_max else leq(e, c)
-        if not ok:
-            raise AssertionError("Deodhar uniqueness failed: incomparable lift")
+    e = (max if want_max else min)(candidates, key=lambda c: c.length)
+    if not all(leq(c, e) if want_max else leq(e, c) for c in candidates):
+        raise AssertionError("Deodhar uniqueness failed: no unique extremal lift")
     return e

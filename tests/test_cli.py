@@ -73,6 +73,27 @@ def test_smt_union(capsys):
     assert "inclusion-exclusion value: 7" in out
 
 
+def test_smt_union_refuses_pair_checks(capsys, monkeypatch):
+    # the count and filtration checks read a --pair; asked of a --union
+    # they are a usage error, raised before anything is enumerated
+    import smtkit.cli as cli
+
+    def no_enumeration(*args, **kwargs):
+        raise RuntimeError("enumerated before refusing the request")
+
+    monkeypatch.setattr(cli.StandardContext, "enumerate", no_enumeration)
+    monkeypatch.setattr(cli.StandardContext, "count_on_union", no_enumeration)
+    for flags in (["--verify-count"], ["--verify-filtration"], ["--verify-count", "--verify-filtration"]):
+        code, out, err = run(
+            capsys,
+            "smt", "--type", "A2", "--weights", "1,1",
+            "--union", "e:s1.s2+e:s2.s1", *flags,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "--union" in err
+
+
 def test_straighten_pair(capsys):
     code, out, _ = run(capsys, "straighten", "--grassmann", "2,4", "--pair", "14,23")
     assert code == 0

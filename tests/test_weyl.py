@@ -143,6 +143,19 @@ def _extremal_lift(group, quot_p, quot_lam, x_class, w, above):
     return unique_extremal(group, cands, want_max=not above) if cands else None
 
 
+def test_unique_extremal_raises_without_an_extremal_element():
+    g = WeylGroup(build_root_system("A", 2))
+    s1, s2 = g.simple
+    s1s2 = g.from_word((0, 1))
+    for want_max in (False, True):
+        with pytest.raises(AssertionError):
+            unique_extremal(g, [s1, s2], want_max=want_max)
+    # s1 and s2 are both minimal; s1s2 lies above both
+    with pytest.raises(AssertionError):
+        unique_extremal(g, [s1, s2, s1s2], want_max=False)
+    assert unique_extremal(g, [s1, s2, s1s2], want_max=True) == s1s2
+
+
 @pytest.mark.parametrize("label,coords", [("A2", (1, 0)), ("B2", (0, 1)), ("C2", (0, 1))])
 def test_deodhar_uniqueness_exhaustive(label, coords):
     # Every nonempty lift set below (resp. above) a bound has a unique
