@@ -295,11 +295,14 @@ def cmd_straighten(args) -> int:
         raise UsageError("--grassmann expects r,n") from exc
     if not 1 <= r < n or (args.pair and r * (n - r) > 8):
         raise UsageError("Grassmannian parameters out of the desk-scale cap")
+    try:
+        seeds = tuple(int(s) for s in args.seeds.split(","))
+    except ValueError as exc:
+        raise UsageError(f"--seeds expects comma-separated integers, not {args.seeds!r}") from exc
     if args.verify_hodge:
         if args.degree > DEFAULT_DEGREE_CAP:
             raise UsageError(f"degree {args.degree} exceeds cap {DEFAULT_DEGREE_CAP}")
-        _check_hodge_work(r, n, args.degree, len(args.seeds.split(",")))
-    seeds = tuple(int(s) for s in args.seeds.split(","))
+        _check_hodge_work(r, n, args.degree, len(seeds))
     failures: list[str] = []
     lines: list[str] = []
     payload: dict = {"grassmann": [r, n], "seeds": list(seeds)}

@@ -18,16 +18,17 @@ and a decode failure would mean the "system" is singular, i.e. a bug.
 
 Randomized layer.  Points of a Schubert variety are sampled as products of
 one-parameter unipotents u_i(t) s_i along a reduced word, over a large prime
-field (Schwartz-Zippel style, seeded and reproducible); each factor rewrites
-two columns.  Opposite Schubert varieties are sampled through the
-longest-element twist.  A sample computes its whole Plücker coordinate
-vector once, by a division-free Laplace recursion over row subsets, so a
-chain's value is a product of lookups.  Ranks of evaluation matrices come
-from inserting rows one at a time into an echelon basis.
+field (Schwartz-Zippel style, seeded and reproducible), applied to the n x r
+identity slab; each factor rewrites two rows.  Opposite Schubert varieties
+are sampled through the longest-element twist.  A sample computes its whole
+Plücker coordinate vector once, by a Laplace recursion planned per (n, r),
+so a chain's value is a product of lookups.  A rank check inserts rows one
+at a time into an echelon basis, evaluating each only when it is needed.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -46,7 +47,6 @@ __all__ = [
     "rank_mod_p",
     "verify_hodge_i",
     "verify_hodge_iii",
-    "restriction_table",
     "sample_flag_point",
     "flag_monomial_evaluate",
     "perm_from_word",
@@ -261,10 +261,10 @@ def _reduced_word_of_perm(p) -> tuple[int, ...]:
             return tuple(reversed(word))
 
 
-def _grassmann_perm(I: PlueckerIndex, n: int) -> tuple[int, ...]:
-    """The minimal coset representative sending {1..r} to I."""
-    rest = [i for i in range(1, n + 1) if i not in I]
-    return tuple(list(I) + rest)
+@functools.cache
+def _grassmann_word(I: PlueckerIndex, n: int) -> tuple[int, ...]:
+    """A reduced word for the minimal coset representative sending {1..r} to I."""
+    return _reduced_word_of_perm(I + tuple(i for i in range(1, n + 1) if i not in I))
 
 
 # ---------------------------------------------------------------------------
@@ -272,41 +272,66 @@ def _grassmann_perm(I: PlueckerIndex, n: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _group_element_along(word, ts, n: int, p: int):
-    """The matrix  prod_j u_{i_j}(t_j) s_{i_j}  over F_p, as a list of rows.
+def _group_element_along(word, ts, n: int, p: int, r: int | None = None):
+    """The first r columns of  prod_j u_{i_j}(t_j) s_{i_j}  over F_p, as rows.
 
-    Right multiplication by u_j(t) s_j, whose j, j+1 block is [[t, -1], [1, 0]],
-    rewrites only columns j and j+1: (c_j, c_{j+1}) -> (t c_j + c_{j+1}, -c_j).
+    The product is applied from its right end to the n x r identity slab
+    (r = n, the default, gives the whole matrix).  Left multiplication by
+    u_j(t) s_j, whose j, j+1 block is [[t, -1], [1, 0]], rewrites only rows j
+    and j+1: (row_j, row_{j+1}) -> (t row_j - row_{j+1}, row_j), O(r) work.
     """
-    cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    for j, t in zip(word, ts):
-        a, b = cols[j], cols[j + 1]
-        cols[j] = [(t * x + y) % p for x, y in zip(a, b)]
-        cols[j + 1] = [-x % p for x in a]
-    return [list(row) for row in zip(*cols)]
+    r = n if r is None else r
+    rows = [[1 if i == j else 0 for j in range(r)] for i in range(n)]
+    for j, t in zip(reversed(word), reversed(ts)):
+        a, b = rows[j], rows[j + 1]
+        rows[j] = [(t * x - y) % p for x, y in zip(a, b)]
+        rows[j + 1] = a
+    return rows
+
+
+@functools.cache
+def _laplace_plan(n: int, r: int):
+    """_minors' recursion for n rows, r columns: the 1-based keys of the r-subsets,
+    and per column k, for each (k + 1)-subset S in combinations order, its
+    terms (row i of S, position of S - {i} one level down), split by sign."""
+    prev = {(): 0}
+    subsets = [()]
+    levels = []
+    for k in range(r):
+        subsets = list(itertools.combinations(range(n), k + 1))
+        level = []
+        for S in subsets:
+            terms = [(S[t], prev[S[:t] + S[t + 1:]]) for t in range(k, -1, -1)]
+            level.append((tuple(terms[0::2]), tuple(terms[1::2])))
+        levels.append(tuple(level))
+        prev = {S: i for i, S in enumerate(subsets)}
+    return tuple(tuple(i + 1 for i in S) for S in subsets), tuple(levels)
 
 
 def _minors(rows, r: int, p: int) -> dict[PlueckerIndex, int]:
     """Every r x r minor on the first r columns of rows, over F_p.
 
-    Keys are the 1-based row subsets.  Laplace expansion along the last
-    column builds the minors of each size k from those of size k - 1: no
+    Keys are the 1-based row subsets, in combinations order.  Laplace
+    expansion along the last column, by positions and signs planned once per
+    (n, r), builds the minors of each size k from those of size k - 1: no
     division, and k * C(n, k) products per size, so about r * C(n, r) in all
     when r <= n/2.  The table holds every minor of size <= r, sum_{k<=r}
     C(n, k) entries, which nears 2^n as r nears n: this is for small n.
     """
-    dets: dict[tuple[int, ...], int] = {(): 1}
-    for k in range(r):
+    keys, levels = _laplace_plan(len(rows), r)
+    dets = [1]
+    for k, level in enumerate(levels):
         col = [row[k] for row in rows]
-        nxt = {}
-        for S in itertools.combinations(range(1, len(rows) + 1), k + 1):
-            v, sign = 0, 1
-            for t in range(k, -1, -1):
-                v += sign * col[S[t] - 1] * dets[S[:t] + S[t + 1:]]
-                sign = -sign
-            nxt[S] = v % p
+        nxt = []
+        for plus, minus in level:
+            v = 0
+            for i, j in plus:
+                v += col[i] * dets[j]
+            for i, j in minus:
+                v -= col[i] * dets[j]
+            nxt.append(v % p)
         dets = nxt
-    return dets
+    return dict(zip(keys, dets))
 
 
 @dataclass(frozen=True)
@@ -361,14 +386,12 @@ def schubert_point_sample(
         raise ValueError("prime must exceed 2^30")
     I = _check_index(I, r, n)
     sample_index = tuple(sorted(n + 1 - i for i in I)) if opposite else I
-    word = _reduced_word_of_perm(_grassmann_perm(sample_index, n))
+    word = _grassmann_word(sample_index, n)
     for _ in range(max_retries):
         ts = [rng.randrange(1, prime) for _ in word]
-        g = _group_element_along(word, ts, n, prime)
-        cols = [row[:r] for row in g]
-        if opposite:
-            cols = cols[::-1]
-        point = PointSample(r, n, prime, tuple(tuple(row) for row in cols))
+        rows = _group_element_along(word, ts, n, prime, r)
+        matrix = tuple(map(tuple, reversed(rows) if opposite else rows))
+        point = PointSample(r, n, prime, matrix)
         if any(point.coords.values()):
             return point
     raise RuntimeError("degenerate sample: all Plücker coordinates vanish")
@@ -414,10 +437,6 @@ class RankReport:
     vanishing_ok: bool
 
 
-def _evaluation_matrix(chains, points):
-    return [[pt.chain_value(ch) for ch in chains] for pt in points]
-
-
 def verify_hodge_i(
     r: int,
     n: int,
@@ -444,7 +463,9 @@ def verify_hodge_iii(
 
     The rank check passes if any single seed reaches the expected rank; the
     vanishing check must hold at every sample of every seed (those values
-    are identically zero on X_I, so any nonzero is a hard failure).
+    are identically zero on X_I, so any nonzero is a hard failure).  Each
+    seed draws all num_samples points, but builds a point's row of on-X_I
+    values only when rank_mod_p reads it, i.e. until the rank reaches k.
     """
     I = _check_index(I, r, n)
     chains = standard_monomials_grassmann(r, n, m)
@@ -460,7 +481,7 @@ def verify_hodge_iii(
     for seed in seeds:
         rng = random.Random(seed)
         points = [schubert_point_sample(I, r, n, rng, prime) for _ in range(num_samples)]
-        rank = rank_mod_p(_evaluation_matrix(on_X, points), prime)
+        rank = rank_mod_p(([pt.chain_value(ch) for ch in on_X] for pt in points), prime)
         ranks.append((seed, rank))
         if rank == k:
             passed_rank = True
@@ -468,30 +489,6 @@ def verify_hodge_iii(
             if any(pt.chain_value(ch) for ch in off_X):
                 vanish_ok = False
     return RankReport(passed_rank and vanish_ok, k, tuple(ranks), vanish_ok)
-
-
-def restriction_table(
-    r: int, n: int, seeds=(1, 2, 3), prime: int = MERSENNE_PRIME, num_samples: int = 6
-) -> dict[tuple[PlueckerIndex, PlueckerIndex], bool]:
-    """Observed nonvanishing of p_J on samples of X_I, for all pairs (I, J).
-
-    The value at (I, J) is True iff p_J was nonzero at some sample over the
-    seeds.  Agreement with index_leq(J, I) is the caller's assertion.
-    """
-    out: dict[tuple[PlueckerIndex, PlueckerIndex], bool] = {}
-    idx = all_indices(r, n)
-    for I in idx:
-        hits = {J: False for J in idx}
-        for seed in seeds:
-            rng = random.Random(seed)
-            for _ in range(num_samples):
-                pt = schubert_point_sample(I, r, n, rng, prime)
-                for J in idx:
-                    if pt.plucker(J):
-                        hits[J] = True
-        for J in idx:
-            out[(I, J)] = hits[J]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from smtkit.pluecker import (
     index_leq,
     perm_from_word,
     relation_residual,
-    restriction_table,
     sample_flag_point,
     standard_monomials_grassmann,
     straighten,
@@ -39,6 +38,7 @@ from smtkit.schubert import (
 )
 from smtkit.smt import StandardContext
 from smtkit.weyl import ParabolicQuotient, WeylGroup
+from pluecker_reference import restriction_table
 from weyl_matrices import MatrixOracle
 
 SEEDS = (1, 2, 3)

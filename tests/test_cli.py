@@ -106,6 +106,15 @@ def test_straighten_standard_pair_is_usage_error(capsys):
     assert "already standard" in err
 
 
+
+@pytest.mark.parametrize("seeds", ["1,x", ",", "", "1,,2", "1.5"])
+@pytest.mark.parametrize("task", [["--verify-hodge"], ["--pair", "14,23"]])
+def test_bad_seeds_are_a_usage_error_naming_the_flag(capsys, seeds, task):
+    code, out, err = run(capsys, "straighten", "--grassmann", "2,4", *task, "--seeds", seeds)
+    assert code == 2
+    assert out == ""
+    assert "--seeds" in err and "invalid literal" not in err
+
 def test_straighten_verify_hodge(capsys):
     code, out, _ = run(
         capsys, "straighten", "--grassmann", "2,4", "--verify-hodge", "--degree", "2"

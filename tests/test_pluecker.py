@@ -16,7 +16,6 @@ from smtkit.pluecker import (
     perm_from_word,
     rank_mod_p,
     relation_residual,
-    restriction_table,
     sample_flag_point,
     schubert_point_sample,
     standard_chain_count,
@@ -25,8 +24,14 @@ from smtkit.pluecker import (
     verify_hodge_i,
     verify_hodge_iii,
 )
-from smtkit.pluecker import _group_element_along, _minor_poly, _reduced_word_of_perm
+from smtkit.pluecker import (
+    _grassmann_word,
+    _group_element_along,
+    _minor_poly,
+    _reduced_word_of_perm,
+)
 from smtkit.rootdata import build_root_system
+from pluecker_reference import eager_hodge_report, restriction_table
 
 SEEDS = (1, 2, 3)
 
@@ -364,6 +369,18 @@ def test_column_update_sampling_equals_block_products(n):
         )
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_slab_sampling_equals_leading_columns_of_full_product(n):
+    rng = random.Random(50 + n)
+    for r in range(1, n):
+        for I in all_indices(r, n):
+            word = _grassmann_word(I, n)
+            ts = [rng.randrange(1, MERSENNE_PRIME) for _ in word]
+            full = _oracle_group_element_along(word, ts, n, MERSENNE_PRIME)
+            slab = _group_element_along(word, ts, n, MERSENNE_PRIME, r)
+            assert slab == [row[:r] for row in full], (I, word)
+
+
 def test_extremal_minor_equals_gaussian_minor():
     rng = random.Random(3)
     for n in (3, 4, 5):
@@ -463,3 +480,53 @@ def test_hodge_i_at_175_chains(r, n, m):
     assert rep.passed
     assert rep.expected_rank == weyl_dim(a, a.weight(tuple(coords))) == 175
     assert rep.ranks_by_seed == ((1, 175),)
+
+
+# (r, n, m) of the Hodge-I checks that the benchmark's hodge workload runs
+HODGE_DEGREES = [(2, 5, 2), (2, 4, 3), (3, 6, 1), (2, 6, 1)]
+
+
+@pytest.mark.parametrize("I", all_indices(2, 5))
+def test_hodge_iii_equals_eager_reference_on_gr25(I):
+    for num_samples in (None, 3):
+        rep = verify_hodge_iii(I, 2, 5, 2, seeds=SEEDS, num_samples=num_samples)
+        assert rep == eager_hodge_report(I, 2, 5, 2, seeds=SEEDS, num_samples=num_samples)
+
+
+@pytest.mark.parametrize("r,n,m", HODGE_DEGREES)
+def test_hodge_i_equals_eager_reference(r, n, m):
+    top = tuple(range(n - r + 1, n + 1))
+    rep = verify_hodge_i(r, n, m, seeds=SEEDS)
+    assert rep == eager_hodge_report(top, r, n, m, seeds=SEEDS)
+    assert rep.passed
+    # fewer points than chains: the rank falls short and every row is read
+    few = rep.expected_rank - 1
+    short = verify_hodge_i(r, n, m, seeds=SEEDS, num_samples=few)
+    assert short == eager_hodge_report(top, r, n, m, seeds=SEEDS, num_samples=few)
+    assert not short.passed and short.vanishing_ok
+    assert short.ranks_by_seed == tuple((seed, few) for seed in SEEDS)
+
+
+def test_every_sample_is_checked_for_vanishing(monkeypatch):
+    """The last point of the first seed comes from the top cell, so an
+    off-X_I chain is nonzero there: the report must see it, although the
+    rank was reached long before."""
+    import smtkit.pluecker as pl
+
+    I, r, n, m, num_samples = (1, 3), 2, 4, 2, 20
+    top = (3, 4)
+    real = pl.schubert_point_sample
+    calls: dict = {}
+
+    def sample(J, r, n, rng, prime=MERSENNE_PRIME):
+        first = next(iter(calls), rng)
+        calls[rng] = calls.get(rng, 0) + 1
+        last_of_first = rng is first and calls[rng] == num_samples
+        return real(top if last_of_first else J, r, n, rng, prime)
+
+    monkeypatch.setattr(pl, "schubert_point_sample", sample)
+    rep = verify_hodge_iii(I, r, n, m, seeds=SEEDS, num_samples=num_samples)
+    assert not rep.vanishing_ok
+    assert not rep.passed
+    assert list(calls.values()) == [num_samples] * len(SEEDS)
+    assert rep.ranks_by_seed[0][1] == rep.expected_rank < num_samples
