@@ -17,13 +17,14 @@ matches, until the remainder is exactly zero.  Coefficients stay integers,
 and a decode failure would mean the "system" is singular, i.e. a bug.
 
 Randomized layer.  Points of a Schubert variety are sampled as products of
-one-parameter unipotents u_i(t) s_i along a reduced word, over a large prime
-field (Schwartz-Zippel style, seeded and reproducible), applied to the n x r
-identity slab; each factor rewrites two rows.  Opposite Schubert varieties
-are sampled through the longest-element twist.  A sample computes its whole
-Plücker coordinate vector once, by a Laplace recursion planned per (n, r),
-so a chain's value is a product of lookups.  A rank check inserts rows one
-at a time into an echelon basis, evaluating each only when it is needed.
+one-parameter unipotents u_i(t) s_i along a reduced word, over the one field
+F_p, p = MERSENNE_PRIME = 2^31 - 1 (Schwartz-Zippel style, seeded and
+reproducible), applied to the n x r identity slab; each factor rewrites two
+rows.  Opposite Schubert varieties are sampled through the longest-element
+twist.  A sample computes its whole Plücker coordinate vector once, by a
+Laplace recursion planned per (n, r), so a chain's value is a product of
+lookups.  A rank check inserts rows one at a time into an echelon basis,
+evaluating each only when it is needed.
 """
 
 from __future__ import annotations
@@ -147,8 +148,10 @@ def _poly_mul(a: Poly, b: Poly) -> Poly:
     return out
 
 
+@functools.cache
 def _minor_poly(I: PlueckerIndex, r: int, n: int) -> Poly:
-    """det of the generic r x r submatrix on columns I, as a sparse polynomial."""
+    """det of the generic r x r submatrix on columns I, as a sparse polynomial;
+    cached, so its callers share each dict and must not mutate it."""
     out: Poly = {}
     for perm in itertools.permutations(range(r)):
         sign = 1
@@ -202,22 +205,15 @@ def straighten(I, J, r: int, n: int) -> StraighteningRelation:
     J = _check_index(J, r, n)
     if index_leq(I, J) or index_leq(J, I):
         raise ValueError(f"pair ({I}, {J}) is already standard; nothing to straighten")
-
-    minors: dict[PlueckerIndex, Poly] = {}
-
-    def minor(K: PlueckerIndex) -> Poly:
-        if K not in minors:
-            minors[K] = _minor_poly(K, r, n)
-        return minors[K]
-
-    residual = _poly_mul(minor(I), minor(J))
+    residual = _poly_mul(_minor_poly(I, r, n), _minor_poly(J, r, n))
     terms: list[tuple[int, tuple[PlueckerIndex, PlueckerIndex]]] = []
     while residual:
         mono = max(residual)
         I2, J2 = _decode_leading(mono, r, n)
         c = residual[mono]  # leading coefficient of a standard product is +1
         terms.append((c, (I2, J2)))
-        residual = _poly_sub_scaled(residual, _poly_mul(minor(I2), minor(J2)), c)
+        product = _poly_mul(_minor_poly(I2, r, n), _minor_poly(J2, r, n))
+        residual = _poly_sub_scaled(residual, product, c)
 
     for _c, (I2, J2) in terms:
         if not (index_leq(I2, I) and index_leq(J, J2)):
@@ -338,20 +334,19 @@ def _minors(rows, r: int, p: int) -> dict[PlueckerIndex, int]:
 class PointSample:
     """Evaluation functional at one sampled point of a Schubert variety.
 
-    matrix is n x r over F_p; its columns span the sampled subspace.  coords
-    holds every Plücker coordinate, computed once by _minors (whose table
-    grows like 2^n when r > n/2); equality and hashing go by the matrix
-    alone.
+    matrix is n x r over F_p, p = MERSENNE_PRIME; its columns span the
+    sampled subspace.  coords holds every Plücker coordinate, computed once
+    by _minors (whose table grows like 2^n when r > n/2); equality and
+    hashing go by the matrix alone.
     """
 
     r: int
     n: int
-    prime: int
     matrix: tuple[tuple[int, ...], ...]
     coords: dict[PlueckerIndex, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", _minors(self.matrix, self.r, self.prime))
+        object.__setattr__(self, "coords", _minors(self.matrix, self.r, MERSENNE_PRIME))
 
     def plucker(self, J) -> int:
         try:
@@ -362,39 +357,26 @@ class PointSample:
     def chain_value(self, chain) -> int:
         v = 1
         for J in chain:
-            v = v * self.plucker(J) % self.prime
+            v = v * self.plucker(J) % MERSENNE_PRIME
         return v
 
 
 def schubert_point_sample(
-    I,
-    r: int,
-    n: int,
-    rng: random.Random,
-    prime: int = MERSENNE_PRIME,
-    opposite: bool = False,
-    max_retries: int = 8,
+    I, r: int, n: int, rng: random.Random, *, opposite: bool = False
 ) -> PointSample:
     """A random point of the Schubert variety X_I in Gr(r, n) over F_p.
 
     With opposite=True, samples the opposite Schubert variety X^I through
-    the longest-element twist.  Retries (bounded) if every Plücker
-    coordinate vanishes, which cannot happen for an honest group element but
-    guards the contract.
+    the longest-element twist.  Some Plücker coordinate is always nonzero:
+    each factor u_j(t) s_j has determinant 1, so the sampled group element
+    is invertible and its first r columns have rank r.
     """
-    if prime <= 2**30:
-        raise ValueError("prime must exceed 2^30")
     I = _check_index(I, r, n)
     sample_index = tuple(sorted(n + 1 - i for i in I)) if opposite else I
     word = _grassmann_word(sample_index, n)
-    for _ in range(max_retries):
-        ts = [rng.randrange(1, prime) for _ in word]
-        rows = _group_element_along(word, ts, n, prime, r)
-        matrix = tuple(map(tuple, reversed(rows) if opposite else rows))
-        point = PointSample(r, n, prime, matrix)
-        if any(point.coords.values()):
-            return point
-    raise RuntimeError("degenerate sample: all Plücker coordinates vanish")
+    ts = [rng.randrange(1, MERSENNE_PRIME) for _ in word]
+    rows = _group_element_along(word, ts, n, MERSENNE_PRIME, r)
+    return PointSample(r, n, tuple(map(tuple, reversed(rows) if opposite else rows)))
 
 
 def rank_mod_p(rows, p: int) -> int:
@@ -442,12 +424,11 @@ def verify_hodge_i(
     n: int,
     m: int,
     seeds=(1, 2, 3),
-    prime: int = MERSENNE_PRIME,
     num_samples: int | None = None,
 ) -> RankReport:
     """Rank of the degree-m standard-chain evaluation matrix on the Grassmannian."""
     top = tuple(range(n - r + 1, n + 1))
-    return verify_hodge_iii(top, r, n, m, seeds=seeds, prime=prime, num_samples=num_samples)
+    return verify_hodge_iii(top, r, n, m, seeds=seeds, num_samples=num_samples)
 
 
 def verify_hodge_iii(
@@ -456,7 +437,6 @@ def verify_hodge_iii(
     n: int,
     m: int,
     seeds=(1, 2, 3),
-    prime: int = MERSENNE_PRIME,
     num_samples: int | None = None,
 ) -> RankReport:
     """On X_I: standard-on-X_I monomials have full rank, others vanish.
@@ -480,8 +460,8 @@ def verify_hodge_iii(
     passed_rank = False
     for seed in seeds:
         rng = random.Random(seed)
-        points = [schubert_point_sample(I, r, n, rng, prime) for _ in range(num_samples)]
-        rank = rank_mod_p(([pt.chain_value(ch) for ch in on_X] for pt in points), prime)
+        points = [schubert_point_sample(I, r, n, rng) for _ in range(num_samples)]
+        rank = rank_mod_p(([pt.chain_value(ch) for ch in on_X] for pt in points), MERSENNE_PRIME)
         ranks.append((seed, rank))
         if rank == k:
             passed_rank = True
@@ -496,29 +476,27 @@ def verify_hodge_iii(
 # ---------------------------------------------------------------------------
 
 
-def sample_flag_point(
-    word, n: int, rng: random.Random, prime: int = MERSENNE_PRIME
-):
+def sample_flag_point(word, n: int, rng: random.Random):
     """A random point of the Schubert variety X_w in SL(n)/B, as a matrix.
 
     word is a reduced word (0-based letters) for w; the point is the full
     n x n group element, from which every top-justified minor can be read.
     """
-    ts = [rng.randrange(1, prime) for _ in word]
-    return _group_element_along(word, ts, n, prime)
+    ts = [rng.randrange(1, MERSENNE_PRIME) for _ in word]
+    return _group_element_along(word, ts, n, MERSENNE_PRIME)
 
 
-def extremal_minor(g, perm, i: int, prime: int = MERSENNE_PRIME) -> int:
+def extremal_minor(g, perm, i: int) -> int:
     """p_{x(omega_i)} at the flag point: the i x i minor on rows x({1..i}),
     columns 1..i, where x is given in one-line notation.
 
     The Laplace table of the i selected rows has 2^i entries, so this is
     meant for small i, as in the SL(3) flag checks."""
-    (minor,) = _minors([g[a - 1] for a in sorted(perm[:i])], i, prime).values()
+    (minor,) = _minors([g[a - 1] for a in sorted(perm[:i])], i, MERSENNE_PRIME).values()
     return minor
 
 
-def flag_monomial_evaluate(g, factors, prime: int = MERSENNE_PRIME) -> int:
+def flag_monomial_evaluate(g, factors) -> int:
     """Evaluate a product of extremal vectors at a flag point.
 
     factors is an iterable of (perm, i): the extremal vector of the i-th
@@ -528,5 +506,5 @@ def flag_monomial_evaluate(g, factors, prime: int = MERSENNE_PRIME) -> int:
     """
     v = 1
     for perm, i in factors:
-        v = v * extremal_minor(g, perm, i, prime) % prime
+        v = v * extremal_minor(g, perm, i) % MERSENNE_PRIME
     return v

@@ -171,7 +171,7 @@ _VALID_RANKS = {
 }
 
 
-def build_root_system(family: str, rank: int, rank_cap: int = DEFAULT_RANK_CAP) -> RootSystem:
+def build_root_system(family: str, rank: int) -> RootSystem:
     """Construct the root system of the given Cartan type.
 
     Positive roots are generated by closing the simple roots under all simple
@@ -183,8 +183,8 @@ def build_root_system(family: str, rank: int, rank_cap: int = DEFAULT_RANK_CAP) 
         raise ValueError(f"unknown family {family!r}")
     if not _VALID_RANKS[family](rank):
         raise ValueError(f"invalid rank {rank} for family {family}")
-    if rank > rank_cap:
-        raise ValueError(f"rank {rank} exceeds cap {rank_cap}")
+    if rank > DEFAULT_RANK_CAP:
+        raise ValueError(f"rank {rank} exceeds cap {DEFAULT_RANK_CAP}")
 
     n = rank
     cartan = tuple(tuple(row) for row in _dynkin_cartan(family, n))
@@ -234,12 +234,12 @@ def build_root_system(family: str, rank: int, rank_cap: int = DEFAULT_RANK_CAP) 
     )
 
 
-def parse_cartan_type(label: str, rank_cap: int = DEFAULT_RANK_CAP) -> RootSystem:
+def parse_cartan_type(label: str) -> RootSystem:
     """Build a root system from a label like "A3", "C2" or "G2"."""
     label = label.strip()
     if len(label) < 2 or not label[1:].isdigit():
         raise ValueError(f"cannot parse Cartan type {label!r}")
-    return build_root_system(label[0], int(label[1:]), rank_cap=rank_cap)
+    return build_root_system(label[0], int(label[1:]))
 
 
 def pairing(rs: RootSystem, lam: Weight, beta: Root) -> int:

@@ -188,17 +188,6 @@ class WeylGroup:
         """x(mu) for every x of W, in id order."""
         return self._borel.orbit(mu)
 
-    def reflection_root(self, x: WeylElement) -> Root | None:
-        """The positive root beta with x = s_beta, or None; as s_beta(rho) =
-        rho - <rho, beta^vee> beta, it is read off the point x(rho)."""
-        rs = self.rs
-        mu = _act(self._alphas, x.word, (1,) * self.rank)
-        for b in rs.positive_roots:
-            c = sum(rs.coroot(b))
-            if mu == tuple(1 - c * a for a in rs.root_in_weight_coords(b)):
-                return b
-        return None
-
     def leq(self, x: WeylElement, y: WeylElement) -> bool:
         """Bruhat order: the bitset test of the Borel quotient."""
         return self._borel.leq(x, y)
@@ -348,13 +337,6 @@ class ParabolicQuotient:
         self._bruhat()
         reps = self.min_reps
         return {reps[k]: gamma for k, gamma in self._covers[self.pos[y]]}
-
-    def covers(self, y: WeylElement) -> list[WeylElement]:
-        """The lower covers of y in W^P, in the order of ``min_reps``."""
-        return list(self.cover_roots(y))
-
-    def of_length(self, k: int) -> list[WeylElement]:
-        return [x for x in self.min_reps if x.length == k]
 
     def interval(self, v: WeylElement, w: WeylElement) -> list[WeylElement]:
         return [x for x in self.min_reps if self.leq(v, x) and self.leq(x, w)]

@@ -20,7 +20,7 @@ from smtkit.pluecker import (
 )
 
 
-def restriction_table(r, n, seeds=(1, 2, 3), prime=MERSENNE_PRIME, num_samples=6):
+def restriction_table(r, n, seeds=(1, 2, 3), num_samples=6):
     """Observed nonvanishing of p_J on samples of X_I, for all pairs (I, J).
 
     The value at (I, J) is True iff p_J was nonzero at some sample over the
@@ -33,7 +33,7 @@ def restriction_table(r, n, seeds=(1, 2, 3), prime=MERSENNE_PRIME, num_samples=6
         for seed in seeds:
             rng = random.Random(seed)
             for _ in range(num_samples):
-                pt = schubert_point_sample(I, r, n, rng, prime)
+                pt = schubert_point_sample(I, r, n, rng)
                 for J in idx:
                     if pt.plucker(J):
                         hits[J] = True
@@ -42,7 +42,7 @@ def restriction_table(r, n, seeds=(1, 2, 3), prime=MERSENNE_PRIME, num_samples=6
     return out
 
 
-def eager_hodge_report(I, r, n, m, seeds=(1, 2, 3), prime=MERSENNE_PRIME, num_samples=None):
+def eager_hodge_report(I, r, n, m, seeds=(1, 2, 3), num_samples=None):
     """verify_hodge_iii with every row of every seed's matrix evaluated first."""
     chains = standard_monomials_grassmann(r, n, m)
     on_X = [ch for ch in chains if m == 0 or index_leq(ch[-1], I)]
@@ -54,9 +54,9 @@ def eager_hodge_report(I, r, n, m, seeds=(1, 2, 3), prime=MERSENNE_PRIME, num_sa
     vanish_ok = True
     for seed in seeds:
         rng = random.Random(seed)
-        points = [schubert_point_sample(I, r, n, rng, prime) for _ in range(num_samples)]
+        points = [schubert_point_sample(I, r, n, rng) for _ in range(num_samples)]
         matrix = [[pt.chain_value(ch) for ch in on_X] for pt in points]
-        ranks.append((seed, rank_mod_p(matrix, prime)))
+        ranks.append((seed, rank_mod_p(matrix, MERSENNE_PRIME)))
         if any(pt.chain_value(ch) for pt in points for ch in off_X):
             vanish_ok = False
     passed = vanish_ok and any(rank == k for _seed, rank in ranks)

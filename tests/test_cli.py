@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -28,9 +29,10 @@ def test_admissible_a2(capsys):
 
 
 def test_admissible_rejects_non_classical(capsys):
-    code, _, err = run(capsys, "admissible", "--type", "G2", "--weight", "1,0")
+    code, out, err = run(capsys, "admissible", "--type", "G2", "--weight", "1,0")
     assert code == 2
-    assert "classical" in err
+    assert out == ""
+    assert err == "error: (1, 0) is not of classical type for G2\n"
 
 
 def test_smt_full_flag_count(capsys):
@@ -41,6 +43,20 @@ def test_smt_full_flag_count(capsys):
     )
     assert code == 0
     assert "standard monomials on (e, s1.s2.s1): 8" in out
+
+
+def test_verify_count_says_when_no_check_applies(capsys):
+    # v != e and w below the top: neither the Weyl dimension nor the
+    # Demazure mass applies, so no PASS may be claimed
+    argv = ["smt", "--type", "A2", "--parabolic", "none", "--weights", "1,0+0,1",
+            "--pair", "s1:s1.s2", "--verify-count"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[-1] == "count checks: none apply to this pair"
+    assert "PASS" not in out
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert json.loads(out)["verify_count"] == {}
 
 
 def test_smt_point_pair(capsys):
@@ -101,9 +117,10 @@ def test_straighten_pair(capsys):
 
 
 def test_straighten_standard_pair_is_usage_error(capsys):
-    code, _, err = run(capsys, "straighten", "--grassmann", "2,4", "--pair", "13,24")
+    code, out, err = run(capsys, "straighten", "--grassmann", "2,4", "--pair", "13,24")
     assert code == 2
-    assert "already standard" in err
+    assert out == ""
+    assert err == "error: pair ((1, 3), (2, 4)) is already standard; nothing to straighten\n"
 
 
 
@@ -187,11 +204,11 @@ def test_hodge_chain_cap_admits_gr36_degree2(capsys):
     [
         ("2,6", 4, "1764 standard chains"),
         # one chain in degree 0, but the sweep would cover C(100, 50) indices
-        ("50,100", 0, "10000 entries in a sampled group element"),
+        ("50,100", 0, "5000 entries in a sampled slab"),
         # 31 chains, but each sample's minor table has 2^31 - 1 entries
-        ("30,31", 1, "961 entries in a sampled group element"),
-        ("1,100", 1, "10000 entries in a sampled group element"),
-        ("7,8", 1, "319 numbers per point sample"),
+        ("30,31", 1, "930 entries in a sampled slab"),
+        ("1,100", 1, "10000 Schubert indices x restriction chains"),
+        ("7,8", 1, "311 numbers per point sample"),
         ("2,7", 2, "4116 Schubert indices x restriction chains"),
         # 175 chains fit, but each of 60 seeds repeats every rank check
         pytest.param(
@@ -219,12 +236,52 @@ def test_hodge_work_cap_refuses_before_sampling(capsys, monkeypatch, grassmann, 
 
 @pytest.mark.parametrize(
     "r, n, degree",
-    [(2, 4, 1), (2, 4, 2), (2, 5, 1), (3, 5, 1), (3, 6, 2), (2, 5, 3), (6, 7, 2)],
+    [(2, 4, 1), (2, 4, 2), (2, 5, 1), (3, 5, 1), (3, 6, 2), (2, 5, 3), (6, 7, 2),
+     (1, 16, 1), (1, 17, 1)],
 )
 def test_hodge_work_cap_admits(r, n, degree):
     from smtkit.cli import _check_hodge_work
 
-    _check_hodge_work(r, n, degree)
+    _check_hodge_work(r, n, degree, 3)
+
+
+# straighten --verify-hodge --json, three seeds: the draws of
+# schubert_point_sample and the sha256 of stdout.  The sweep's check on
+# X_top = Gr(r, n) is the Hodge-I check of its degree, and its report is
+# reused; checking it anew would draw 240, 552, 492, 180 and 2616 points for
+# the same bytes.  At degree 0 there is no Hodge-I report to reuse.
+HODGE_SWEEPS = [
+    ("2,4", 1, 192, "3dd5a8fc84fb9abc53f9c47578215aed77847713c58f7fe119bdc36f0ed97a07"),
+    ("2,4", 2, 420, "024de4e6c75cc4f739874369f9bc3eebeb577f574ba98d65fd041f5a62c370ea"),
+    ("3,5", 1, 420, "907f8dafcde26463685643a98f82ca142a19ce4b8f0b67074c327d0d30e3c0a8"),
+    ("2,5", 0, 180, "c3c309c3d9a7f471d133f5c096c36fd90f9da0f7f109d91a82e759dd3202c864"),
+    ("2,5", 3, 2304, "e13b8fbad5612a43a7e690557cf2539dbd4960c2ddfa74c3328055992d5bfea6"),
+]
+
+
+@pytest.mark.parametrize(
+    "grassmann, degree, draws, digest", HODGE_SWEEPS, ids=[f"{g}-{d}" for g, d, *_ in HODGE_SWEEPS]
+)
+def test_verify_hodge_checks_the_top_cell_once(
+    capsys, monkeypatch, grassmann, degree, draws, digest
+):
+    import smtkit.pluecker as pl
+
+    real = pl.schubert_point_sample
+    calls = []
+
+    def sample(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pl, "schubert_point_sample", sample)
+    code, out, _ = run(
+        capsys, "straighten", "--grassmann", grassmann, "--verify-hodge",
+        "--degree", str(degree), "--json",
+    )
+    assert code == 0
+    assert len(calls) == draws
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_pair_keeps_its_size_check(capsys):

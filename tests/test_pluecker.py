@@ -121,6 +121,33 @@ def test_gr36_straightening():
         assert index_leq(I2, (1, 4, 5)) and index_leq((2, 3, 6), J2)
 
 
+@pytest.mark.parametrize("r,n", [(2, 5), (3, 6)])
+def test_cached_minors_give_the_uncached_relations_twice(monkeypatch, r, n):
+    # every caller shares the dicts that _minor_poly caches, so a caller
+    # that mutated one would corrupt the runs after it: run everything twice
+    import smtkit.pluecker as pl
+
+    nonstandard = [
+        (I, J)
+        for I, J in itertools.combinations(all_indices(r, n), 2)
+        if not index_leq(I, J) and not index_leq(J, I)
+    ]
+
+    def run():
+        out = []
+        for I, J in nonstandard:
+            rel = straighten(I, J, r, n)
+            out.append((rel, relation_residual(rel)))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(pl, "_minor_poly", pl._minor_poly.__wrapped__)
+        want = run()
+    assert all(res == {} for _rel, res in want)
+    assert run() == want
+    assert run() == want
+
+
 def test_degree_two_standard_monomials_linearly_independent():
     # exact nullspace over Q of the coefficient matrix is zero
     r, n = 2, 4
@@ -175,10 +202,11 @@ def test_base_point_sample():
     assert all(v == 0 for J, v in vals.items() if J != (1, 2))
 
 
-def test_prime_floor():
-    rng = random.Random(0)
-    with pytest.raises(ValueError):
-        schubert_point_sample((1, 2), 2, 4, rng, prime=101)
+def test_stale_positional_prime_is_a_type_error():
+    # the field is fixed, and opposite is keyword-only: a fifth positional
+    # argument must not be read as opposite=True
+    with pytest.raises(TypeError):
+        schubert_point_sample((1, 2), 2, 4, random.Random(0), MERSENNE_PRIME)
 
 
 @pytest.mark.parametrize("r,n", [(2, 4), (2, 5)])
@@ -353,8 +381,10 @@ def test_sample_coords_equal_gaussian_minors(r, n):
         for opposite in (False, True):
             pt = schubert_point_sample(I, r, n, rng, opposite=opposite)
             assert set(pt.coords) == set(all_indices(r, n))
+            # the sampled slab has rank r, so no sample needs a redraw
+            assert any(pt.coords.values()), (I, opposite)
             for J in all_indices(r, n):
-                want = _oracle_det_mod([list(pt.matrix[j - 1]) for j in J], pt.prime)
+                want = _oracle_det_mod([list(pt.matrix[j - 1]) for j in J], MERSENNE_PRIME)
                 assert pt.coords[J] == want == pt.plucker(J), (I, opposite, J)
 
 
@@ -445,14 +475,15 @@ def test_point_sample_hashable_and_equal_by_matrix():
     assert a.coords is not b.coords
     keys = {(a, (1, 2)), (b, (1, 2)), (c, (1, 2))}
     assert len(keys) == 2
-    assert PointSample(a.r, a.n, a.prime, a.matrix) == a
+    assert PointSample(a.r, a.n, a.matrix) == a
     assert "coords" not in repr(a)
 
 
 def test_plucker_accepts_lists_and_rejects_bad_indices():
     pt = schubert_point_sample((3, 4), 2, 4, random.Random(5))
     assert pt.plucker([1, 3]) == pt.plucker((1, 3)) == pt.coords[(1, 3)]
-    assert pt.chain_value([[1, 3], (2, 4)]) == pt.coords[(1, 3)] * pt.coords[(2, 4)] % pt.prime
+    want = pt.coords[(1, 3)] * pt.coords[(2, 4)] % MERSENNE_PRIME
+    assert pt.chain_value([[1, 3], (2, 4)]) == want
     for bad in [(1,), (1, 2, 3), (0, 2), (3, 2), (2, 2), (1, 5)]:
         with pytest.raises(ValueError):
             pt.plucker(bad)
@@ -518,11 +549,11 @@ def test_every_sample_is_checked_for_vanishing(monkeypatch):
     real = pl.schubert_point_sample
     calls: dict = {}
 
-    def sample(J, r, n, rng, prime=MERSENNE_PRIME):
+    def sample(J, r, n, rng):
         first = next(iter(calls), rng)
         calls[rng] = calls.get(rng, 0) + 1
         last_of_first = rng is first and calls[rng] == num_samples
-        return real(top if last_of_first else J, r, n, rng, prime)
+        return real(top if last_of_first else J, r, n, rng)
 
     monkeypatch.setattr(pl, "schubert_point_sample", sample)
     rep = verify_hodge_iii(I, r, n, m, seeds=SEEDS, num_samples=num_samples)

@@ -7,8 +7,8 @@ s_beta is u s_i u^-1 for a positive root beta = u(alpha_i).  Only the Cartan
 matrix, the positive-root coordinates and each element's word and id are
 read from smtkit; every action is computed here.
 
-The word helpers at the end (root images, inversions, right descents and
-all reduced words) serve the tests only.
+The word helpers at the end (reflection roots, root images, inversions,
+right descents and all reduced words) serve the tests only.
 """
 
 
@@ -96,6 +96,32 @@ class MatrixOracle:
         c = diff[k] // b[k]
         assert diff == [c * x for x in b]
         return c
+
+
+def reflection_root(group, x):
+    """The positive root beta with x = s_beta, or None.
+
+    s_beta(rho) = rho - <rho, beta^vee> beta, and no other point of the
+    orbit of rho lies on the line rho + Q beta (it would have another
+    length), so x = s_beta iff rho - x(rho) is a nonzero multiple of beta.
+    x(rho) is folded from x's word: s_j(mu) = mu - mu_j alpha_j, with
+    alpha_j column j of the Cartan matrix.
+    """
+    cartan = group.rs.cartan
+    n = len(cartan)
+    mu = [1] * n
+    for j in reversed(x.word):
+        c = mu[j]
+        mu = [m - c * cartan[k][j] for k, m in enumerate(mu)]
+    diff = [1 - m for m in mu]
+    if not any(diff):
+        return None
+    for b in group.rs.positive_roots:
+        bw = [sum(cartan[k][j] * b.coords[j] for j in range(n)) for k in range(n)]
+        k = next(k for k, a in enumerate(bw) if a)
+        if all(d * bw[k] == a * diff[k] for d, a in zip(diff, bw)):
+            return b
+    return None
 
 
 def root_image(group, x, coords):
