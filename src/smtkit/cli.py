@@ -104,11 +104,16 @@ def _parse_parabolic(text: str, rank: int) -> frozenset[int]:
     return idxs
 
 
-def _parse_index(text: str):
-    text = text.strip()
-    if "." in text:
-        return tuple(int(p) for p in text.split("."))
-    return tuple(int(ch) for ch in text)
+def _parse_pair(text: str):
+    """The two indices of --pair: "14,23", or "1.4,2.3" for entries over 9."""
+    parts = [t.strip() for t in text.split(",")]
+    try:
+        I, J = (tuple(int(p) for p in (t.split(".") if "." in t else t)) for t in parts)
+    except ValueError:
+        I = J = ()
+    if not I or not J:
+        raise UsageError(f"--pair expects two indices such as 14,23, not {text!r}")
+    return I, J
 
 
 def _emit(payload: dict, as_json: bool, lines) -> None:
@@ -307,8 +312,7 @@ def cmd_straighten(args) -> int:
     payload: dict = {"grassmann": [r, n], "seeds": list(seeds)}
 
     if args.pair:
-        it, _, jt = args.pair.partition(",")
-        I, J = _parse_index(it), _parse_index(jt)
+        I, J = _parse_pair(args.pair)
         rel = straighten(I, J, r, n)
         exact = relation_residual(rel) == {}
         payload["relation"] = {

@@ -214,6 +214,8 @@ def straighten(I, J, r: int, n: int) -> StraighteningRelation:
         terms.append((c, (I2, J2)))
         product = _poly_mul(_minor_poly(I2, r, n), _minor_poly(J2, r, n))
         residual = _poly_sub_scaled(residual, product, c)
+        if mono in residual:
+            raise AssertionError(f"p{I2} p{J2} does not cancel the leading monomial")
 
     for _c, (I2, J2) in terms:
         if not (index_leq(I2, I) and index_leq(J, J2)):

@@ -132,6 +132,15 @@ def test_bad_seeds_are_a_usage_error_naming_the_flag(capsys, seeds, task):
     assert out == ""
     assert "--seeds" in err and "invalid literal" not in err
 
+
+@pytest.mark.parametrize("pair", ["1x,23", "1.x,23", ",23"])
+def test_bad_pair_is_a_usage_error_naming_the_flag(capsys, pair):
+    code, out, err = run(capsys, "straighten", "--grassmann", "2,4", "--pair", pair)
+    assert code == 2
+    assert out == ""
+    assert "--pair" in err and repr(pair) in err and "invalid literal" not in err
+
+
 def test_straighten_verify_hodge(capsys):
     code, out, _ = run(
         capsys, "straighten", "--grassmann", "2,4", "--verify-hodge", "--degree", "2"

@@ -148,6 +148,36 @@ def test_cached_minors_give_the_uncached_relations_twice(monkeypatch, r, n):
     assert run() == want
 
 
+def test_straighten_raises_when_the_leading_monomial_survives(monkeypatch):
+    # a minor that lost its leading term breaks unit-triangularity: the
+    # decoded product no longer cancels the residual's leading monomial, and
+    # straighten must raise instead of subtracting it forever
+    import signal
+
+    import smtkit.pluecker as pl
+
+    uncached = pl._minor_poly.__wrapped__
+
+    def broken(I, r, n):
+        poly = uncached(I, r, n)
+        if I == (1, 3):
+            del poly[max(poly)]
+        return poly
+
+    def timeout(_signum, _frame):
+        raise TimeoutError("straighten did not return within 10 s")
+
+    monkeypatch.setattr(pl, "_minor_poly", broken)
+    old = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(10)
+    try:
+        with pytest.raises(AssertionError, match="does not cancel the leading monomial"):
+            straighten((1, 4), (2, 3), 2, 4)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
 def test_degree_two_standard_monomials_linearly_independent():
     # exact nullspace over Q of the coefficient matrix is zero
     r, n = 2, 4

@@ -321,3 +321,13 @@ def test_counts_are_order_insensitive():
                 assert len(ctx12.enumerate(ctx12.pair(v, w))) == len(
                     ctx21.enumerate(ctx21.pair(v, w))
                 )
+
+
+def test_enumerate_twice_on_one_context_is_equal():
+    c3 = build_root_system("C", 3)
+    g = WeylGroup(c3)
+    lam = c3.fundamental_weight(1)
+    ctx = StandardContext(g, stabilizer_subset(c3, lam), (lam, lam))
+    pair = ctx.pair(ctx.quot.min_reps[0], ctx.quot.top())
+    first = ctx.enumerate(pair)
+    assert first and first == ctx.enumerate(pair)
