@@ -165,8 +165,8 @@ def cmd_admissible(args) -> int:
 
 
 def cmd_smt(args) -> int:
-    if args.union and (args.verify_count or args.verify_filtration):
-        raise UsageError("--verify-count and --verify-filtration check a --pair, not a --union")
+    if args.union and (args.pair or args.verify_count or args.verify_filtration):
+        raise UsageError("--union takes no --pair, --verify-count or --verify-filtration")
     rs = parse_cartan_type(args.type)
     weights = _parse_weights(args.weights, rs.rank)
     group = WeylGroup(rs, order_cap=args.cap)
@@ -201,7 +201,7 @@ def cmd_smt(args) -> int:
             if uc.inclusion_exclusion != uc.count:
                 failures.append("union inclusion-exclusion mismatch")
     else:
-        pair = parse_pair(args.pair)
+        pair = parse_pair(args.pair or "e:w0")
         monos = ctx.enumerate(pair)
         payload["pair"] = {"v": format_word(pair.v.word), "w": format_word(pair.w.word)}
         payload["monomials"] = [
@@ -295,15 +295,19 @@ def _check_hodge_work(r: int, n: int, degree: int, seeds: int) -> None:
 def cmd_straighten(args) -> int:
     try:
         r, n = (int(p) for p in args.grassmann.split(","))
-    except ValueError as exc:
-        raise UsageError("--grassmann expects r,n") from exc
-    if not 1 <= r < n or (args.pair and r * (n - r) > 8):
-        raise UsageError("Grassmannian parameters out of the desk-scale cap")
+    except ValueError:
+        r = n = 0
+    if not 1 <= r < n:
+        raise UsageError(f"--grassmann expects 1 <= r < n, not {args.grassmann!r}")
+    if args.pair and r * (n - r) > 8:
+        raise UsageError(f"--pair needs r(n-r) <= 8; Gr({r},{n}) is over that desk-scale cap")
     try:
         seeds = tuple(int(s) for s in args.seeds.split(","))
     except ValueError as exc:
         raise UsageError(f"--seeds expects comma-separated integers, not {args.seeds!r}") from exc
     if args.verify_hodge:
+        if args.degree < 0:
+            raise UsageError(f"--degree must be nonnegative, not {args.degree}")
         if args.degree > DEFAULT_DEGREE_CAP:
             raise UsageError(f"degree {args.degree} exceeds cap {DEFAULT_DEGREE_CAP}")
         _check_hodge_work(r, n, args.degree, len(seeds))
@@ -390,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--type", required=True)
     ps.add_argument("--parabolic", default="none")
     ps.add_argument("--weights", required=True)
-    ps.add_argument("--pair", default="e:w0")
+    ps.add_argument("--pair", default=None, help="v:w (default: e:w0)")
     ps.add_argument("--union", default=None)
     ps.add_argument("--verify-count", action="store_true")
     ps.add_argument("--verify-filtration", action="store_true")

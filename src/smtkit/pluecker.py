@@ -6,15 +6,17 @@ order).  Indices are 1-based strictly increasing tuples, ordered
 componentwise.  Internally a point sample is stored transposed (an n x r
 matrix whose columns span the subspace), so p_I is the minor on rows I.
 
-Symbolic layer.  Polynomials in the r x n generic matrix entries are sparse
-dicts mapping dense exponent tuples (row-major variable order) to integer
-coefficients.  The lex-leading monomial of the product of two minors on
-column sets I, J is the "double diagonal" x_{1,min} ... x_{r,max}, which
-determines the standard pair (I', J') uniquely.  Straightening therefore
-solves the linear system in monomial-coefficient space by unit-triangular
-elimination: repeatedly subtract the standard product whose leading monomial
-matches, until the remainder is exactly zero.  Coefficients stay integers,
-and a decode failure would mean the "system" is singular, i.e. a bug.
+Symbolic layer.  A monomial of a product of two minors in the r x n generic
+matrix entries takes two entries from each row, so polynomials are sparse
+dicts keyed by one sorted (a, b) column pair per row.  Lex order on the
+entries (row-major) is the reverse of tuple order on these keys: the
+lex-leading monomial of p_I p_J is its least key, the "double diagonal"
+x_{1,min} ... x_{r,max}, whose a's and b's are the standard pair (I', J')
+it determines.  Straightening therefore solves the linear system in
+monomial-coefficient space by unit-triangular elimination: repeatedly
+subtract the standard product whose leading monomial matches, until the
+remainder is exactly zero.  Coefficients stay integers, and a decode
+failure would mean the "system" is singular, i.e. a bug.
 
 Randomized layer.  Points of a Schubert variety are sampled as products of
 one-parameter unipotents u_i(t) s_i along a reduced word, over the one field
@@ -24,7 +26,8 @@ rows.  Opposite Schubert varieties are sampled through the longest-element
 twist.  A sample computes its whole Plücker coordinate vector once, by a
 Laplace recursion planned per (n, r), so a chain's value is a product of
 lookups.  A rank check inserts rows one at a time into an echelon basis,
-evaluating each only when it is needed.
+evaluating each only when it is needed; the vanishing check reads
+coordinates, not chains.
 """
 
 from __future__ import annotations
@@ -120,7 +123,7 @@ def standard_chain_count(r: int, n: int, m: int) -> int:
 # exact polynomials in the r x n generic matrix entries
 # ---------------------------------------------------------------------------
 
-Poly = dict[tuple[int, ...], int]
+Poly = dict[tuple[tuple[int, int], ...], int]
 
 
 def _poly_sub_scaled(a: Poly, b: Poly, c: int) -> Poly:
@@ -135,52 +138,33 @@ def _poly_sub_scaled(a: Poly, b: Poly, c: int) -> Poly:
     return out
 
 
-def _poly_mul(a: Poly, b: Poly) -> Poly:
-    out: Poly = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            mono = tuple(x + y for x, y in zip(ma, mb))
-            v = out.get(mono, 0) + ca * cb
-            if v:
-                out[mono] = v
-            else:
-                out.pop(mono, None)
-    return out
-
-
 @functools.cache
-def _minor_poly(I: PlueckerIndex, r: int, n: int) -> Poly:
-    """det of the generic r x r submatrix on columns I, as a sparse polynomial;
-    cached, so its callers share each dict and must not mutate it."""
-    out: Poly = {}
+def _minor_terms(I: PlueckerIndex, r: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """det of the generic r x r submatrix on columns I: per term, the column
+    each row picks, and the term's sign."""
+    out = []
     for perm in itertools.permutations(range(r)):
         sign = 1
         for a in range(r):
             for b in range(a + 1, r):
                 if perm[a] > perm[b]:
                     sign = -sign
-        exps = [0] * (r * n)
-        for row in range(r):
-            exps[row * n + (I[perm[row]] - 1)] += 1
-        out[tuple(exps)] = sign
+        out.append((tuple(I[i] for i in perm), sign))
+    return tuple(out)
+
+
+def _product(I: PlueckerIndex, J: PlueckerIndex, r: int) -> Poly:
+    """p_I p_J in the generic entries, keyed by row-pair monomials."""
+    out: Poly = {}
+    for cols_i, si in _minor_terms(I, r):
+        for cols_j, sj in _minor_terms(J, r):
+            mono = tuple((a, b) if a <= b else (b, a) for a, b in zip(cols_i, cols_j))
+            v = out.get(mono, 0) + si * sj
+            if v:
+                out[mono] = v
+            else:
+                out.pop(mono, None)
     return out
-
-
-def _decode_leading(mono: tuple[int, ...], r: int, n: int) -> tuple[PlueckerIndex, PlueckerIndex]:
-    """Recover the standard pair whose product has this leading monomial."""
-    lo, hi = [], []
-    for row in range(r):
-        cols = []
-        for col in range(n):
-            cols.extend([col + 1] * mono[row * n + col])
-        if len(cols) != 2:
-            raise AssertionError("monomial is not a product of two minor diagonals")
-        lo.append(min(cols))
-        hi.append(max(cols))
-    I2, J2 = tuple(lo), tuple(hi)
-    if any(a >= b for a, b in zip(I2, I2[1:])) or any(a >= b for a, b in zip(J2, J2[1:])):
-        raise AssertionError("leading monomial does not decode to a standard pair")
-    return I2, J2
 
 
 @dataclass(frozen=True)
@@ -205,15 +189,16 @@ def straighten(I, J, r: int, n: int) -> StraighteningRelation:
     J = _check_index(J, r, n)
     if index_leq(I, J) or index_leq(J, I):
         raise ValueError(f"pair ({I}, {J}) is already standard; nothing to straighten")
-    residual = _poly_mul(_minor_poly(I, r, n), _minor_poly(J, r, n))
+    residual = _product(I, J, r)
     terms: list[tuple[int, tuple[PlueckerIndex, PlueckerIndex]]] = []
     while residual:
-        mono = max(residual)
-        I2, J2 = _decode_leading(mono, r, n)
+        mono = min(residual)  # the lex-leading monomial
+        I2, J2 = zip(*mono)
+        if any(a >= b for a, b in zip(I2, I2[1:])) or any(a >= b for a, b in zip(J2, J2[1:])):
+            raise AssertionError("leading monomial does not decode to a standard pair")
         c = residual[mono]  # leading coefficient of a standard product is +1
         terms.append((c, (I2, J2)))
-        product = _poly_mul(_minor_poly(I2, r, n), _minor_poly(J2, r, n))
-        residual = _poly_sub_scaled(residual, product, c)
+        residual = _poly_sub_scaled(residual, _product(I2, J2, r), c)
         if mono in residual:
             raise AssertionError(f"p{I2} p{J2} does not cancel the leading monomial")
 
@@ -225,10 +210,9 @@ def straighten(I, J, r: int, n: int) -> StraighteningRelation:
 
 def relation_residual(rel: StraighteningRelation) -> Poly:
     """Symbolic re-expansion of lhs - rhs; the zero dict iff the relation is exact."""
-    r, n = rel.r, rel.n
-    res = _poly_mul(_minor_poly(rel.lhs[0], r, n), _minor_poly(rel.lhs[1], r, n))
+    res = _product(*rel.lhs, rel.r)
     for c, (I2, J2) in rel.rhs:
-        res = _poly_sub_scaled(res, _poly_mul(_minor_poly(I2, r, n), _minor_poly(J2, r, n)), c)
+        res = _poly_sub_scaled(res, _product(I2, J2, rel.r), c)
     return res
 
 
@@ -270,7 +254,7 @@ def _grassmann_word(I: PlueckerIndex, n: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _group_element_along(word, ts, n: int, p: int, r: int | None = None):
+def _group_element_along(word, ts, n: int, r: int | None = None):
     """The first r columns of  prod_j u_{i_j}(t_j) s_{i_j}  over F_p, as rows.
 
     The product is applied from its right end to the n x r identity slab
@@ -282,7 +266,7 @@ def _group_element_along(word, ts, n: int, p: int, r: int | None = None):
     rows = [[1 if i == j else 0 for j in range(r)] for i in range(n)]
     for j, t in zip(reversed(word), reversed(ts)):
         a, b = rows[j], rows[j + 1]
-        rows[j] = [(t * x - y) % p for x, y in zip(a, b)]
+        rows[j] = [(t * x - y) % MERSENNE_PRIME for x, y in zip(a, b)]
         rows[j + 1] = a
     return rows
 
@@ -306,7 +290,7 @@ def _laplace_plan(n: int, r: int):
     return tuple(tuple(i + 1 for i in S) for S in subsets), tuple(levels)
 
 
-def _minors(rows, r: int, p: int) -> dict[PlueckerIndex, int]:
+def _minors(rows, r: int) -> dict[PlueckerIndex, int]:
     """Every r x r minor on the first r columns of rows, over F_p.
 
     Keys are the 1-based row subsets, in combinations order.  Laplace
@@ -327,7 +311,7 @@ def _minors(rows, r: int, p: int) -> dict[PlueckerIndex, int]:
                 v += col[i] * dets[j]
             for i, j in minus:
                 v -= col[i] * dets[j]
-            nxt.append(v % p)
+            nxt.append(v % MERSENNE_PRIME)
         dets = nxt
     return dict(zip(keys, dets))
 
@@ -348,7 +332,7 @@ class PointSample:
     coords: dict[PlueckerIndex, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", _minors(self.matrix, self.r, MERSENNE_PRIME))
+        object.__setattr__(self, "coords", _minors(self.matrix, self.r))
 
     def plucker(self, J) -> int:
         try:
@@ -377,7 +361,7 @@ def schubert_point_sample(
     sample_index = tuple(sorted(n + 1 - i for i in I)) if opposite else I
     word = _grassmann_word(sample_index, n)
     ts = [rng.randrange(1, MERSENNE_PRIME) for _ in word]
-    rows = _group_element_along(word, ts, n, MERSENNE_PRIME, r)
+    rows = _group_element_along(word, ts, n, r)
     return PointSample(r, n, tuple(map(tuple, reversed(rows) if opposite else rows)))
 
 
@@ -445,15 +429,17 @@ def verify_hodge_iii(
 
     The rank check passes if any single seed reaches the expected rank; the
     vanishing check must hold at every sample of every seed (those values
-    are identically zero on X_I, so any nonzero is a hard failure).  Each
-    seed draws all num_samples points, but builds a point's row of on-X_I
-    values only when rank_mod_p reads it, i.e. until the rank reaches k.
+    are identically zero on X_I, so any nonzero is a hard failure).  It reads
+    coordinates, not chains: over a field a chain is zero iff one of its
+    coordinates is, and (J, ..., J) is off X_I for each J not <= I, so in
+    degree m >= 1 every off-X_I chain vanishes at a point iff every such p_J
+    does.  Each seed draws all num_samples points, but builds a point's row
+    of on-X_I values only when rank_mod_p reads it, i.e. until the rank
+    reaches k.
     """
     I = _check_index(I, r, n)
-    chains = standard_monomials_grassmann(r, n, m)
-    on_X, off_X = [], []
-    for ch in chains:
-        (on_X if m == 0 or index_leq(ch[-1], I) else off_X).append(ch)
+    on_X = [ch for ch in standard_monomials_grassmann(r, n, m) if m == 0 or index_leq(ch[-1], I)]
+    off_X = [J for J in all_indices(r, n) if not index_leq(J, I)] if m else []
     k = len(on_X)
     if num_samples is None:
         num_samples = 2 * k + 4
@@ -468,7 +454,7 @@ def verify_hodge_iii(
         if rank == k:
             passed_rank = True
         for pt in points:
-            if any(pt.chain_value(ch) for ch in off_X):
+            if any(pt.plucker(J) for J in off_X):
                 vanish_ok = False
     return RankReport(passed_rank and vanish_ok, k, tuple(ranks), vanish_ok)
 
@@ -485,7 +471,7 @@ def sample_flag_point(word, n: int, rng: random.Random):
     n x n group element, from which every top-justified minor can be read.
     """
     ts = [rng.randrange(1, MERSENNE_PRIME) for _ in word]
-    return _group_element_along(word, ts, n, MERSENNE_PRIME)
+    return _group_element_along(word, ts, n)
 
 
 def extremal_minor(g, perm, i: int) -> int:
@@ -494,7 +480,7 @@ def extremal_minor(g, perm, i: int) -> int:
 
     The Laplace table of the i selected rows has 2^i entries, so this is
     meant for small i, as in the SL(3) flag checks."""
-    (minor,) = _minors([g[a - 1] for a in sorted(perm[:i])], i, MERSENNE_PRIME).values()
+    (minor,) = _minors([g[a - 1] for a in sorted(perm[:i])], i).values()
     return minor
 
 

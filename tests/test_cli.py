@@ -110,6 +110,20 @@ def test_smt_union_refuses_pair_checks(capsys, monkeypatch):
         assert err.startswith("error: ") and "--union" in err
 
 
+@pytest.mark.parametrize("pair", ["s1:s1", "e:w0"])
+def test_smt_union_refuses_a_pair(capsys, pair):
+    # a --union counts its own components: an explicit --pair beside it is
+    # a usage error, even when it names the default pair
+    code, out, err = run(
+        capsys,
+        "smt", "--type", "A2", "--weights", "1,1",
+        "--union", "e:s1.s2+e:s2.s1", "--pair", pair,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "--union" in err and "--pair" in err
+
+
 def test_straighten_pair(capsys):
     code, out, _ = run(capsys, "straighten", "--grassmann", "2,4", "--pair", "14,23")
     assert code == 0
@@ -297,6 +311,22 @@ def test_pair_keeps_its_size_check(capsys):
     code, _, err = run(capsys, "straighten", "--grassmann", "3,6", "--pair", "145,236")
     assert code == 2
     assert "cap" in err
+
+
+@pytest.mark.parametrize("grassmann", ["0,4", "4,4", "5,4", "2,x", "2"])
+@pytest.mark.parametrize("task", [["--pair", "1,2"], ["--verify-hodge"]])
+def test_bad_grassmann_is_a_usage_error_not_a_cap(capsys, grassmann, task):
+    code, out, err = run(capsys, "straighten", "--grassmann", grassmann, *task)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --grassmann expects 1 <= r < n, not {grassmann!r}\n"
+
+
+def test_negative_degree_is_a_usage_error_naming_the_flag(capsys):
+    code, out, err = run(capsys, "straighten", "--grassmann", "2,4", "--verify-hodge", "--degree", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --degree must be nonnegative, not -1\n"
 
 
 def test_broken_invariant_is_a_failed_check(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -27,7 +28,8 @@ from smtkit.pluecker import (
 from smtkit.pluecker import (
     _grassmann_word,
     _group_element_along,
-    _minor_poly,
+    _minor_terms,
+    _product,
     _reduced_word_of_perm,
 )
 from smtkit.rootdata import build_root_system
@@ -123,8 +125,8 @@ def test_gr36_straightening():
 
 @pytest.mark.parametrize("r,n", [(2, 5), (3, 6)])
 def test_cached_minors_give_the_uncached_relations_twice(monkeypatch, r, n):
-    # every caller shares the dicts that _minor_poly caches, so a caller
-    # that mutated one would corrupt the runs after it: run everything twice
+    # every caller shares the terms that _minor_terms caches, so a cache
+    # keyed or filled wrongly would corrupt the runs after it: run everything twice
     import smtkit.pluecker as pl
 
     nonstandard = [
@@ -141,7 +143,7 @@ def test_cached_minors_give_the_uncached_relations_twice(monkeypatch, r, n):
         return out
 
     with monkeypatch.context() as m:
-        m.setattr(pl, "_minor_poly", pl._minor_poly.__wrapped__)
+        m.setattr(pl, "_minor_terms", pl._minor_terms.__wrapped__)
         want = run()
     assert all(res == {} for _rel, res in want)
     assert run() == want
@@ -156,18 +158,19 @@ def test_straighten_raises_when_the_leading_monomial_survives(monkeypatch):
 
     import smtkit.pluecker as pl
 
-    uncached = pl._minor_poly.__wrapped__
+    uncached = pl._minor_terms.__wrapped__
 
-    def broken(I, r, n):
-        poly = uncached(I, r, n)
+    def broken(I, r):
+        terms = uncached(I, r)
         if I == (1, 3):
-            del poly[max(poly)]
-        return poly
+            # the diagonal term picks the least columns, row by row
+            terms = tuple(t for t in terms if t != min(terms))
+        return terms
 
     def timeout(_signum, _frame):
         raise TimeoutError("straighten did not return within 10 s")
 
-    monkeypatch.setattr(pl, "_minor_poly", broken)
+    monkeypatch.setattr(pl, "_minor_terms", broken)
     old = signal.signal(signal.SIGALRM, timeout)
     signal.alarm(10)
     try:
@@ -187,23 +190,10 @@ def test_degree_two_standard_monomials_linearly_independent():
         for J in all_indices(r, n)
         if index_leq(I, J)
     ]
-    polys = [
-        _mul(_minor_poly(I, r, n), _minor_poly(J, r, n)) for I, J in pairs
-    ]
+    polys = [_product(I, J, r) for I, J in pairs]
     monomials = sorted({m for p in polys for m in p})
     rows = [[Fraction(p.get(m, 0)) for p in polys] for m in monomials]
     assert _rank_q(rows) == len(pairs)
-
-
-def _mul(a, b):
-    out = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            k = tuple(x + y for x, y in zip(ma, mb))
-            out[k] = out.get(k, 0) + ca * cb
-            if not out[k]:
-                del out[k]
-    return out
 
 
 def _rank_q(rows):
@@ -424,7 +414,7 @@ def test_column_update_sampling_equals_block_products(n):
     for length in (0, 1, 5, 20):
         word = [rng.randrange(n - 1) for _ in range(length)]
         ts = [rng.randrange(1, MERSENNE_PRIME) for _ in word]
-        assert _group_element_along(word, ts, n, MERSENNE_PRIME) == _oracle_group_element_along(
+        assert _group_element_along(word, ts, n) == _oracle_group_element_along(
             word, ts, n, MERSENNE_PRIME
         )
 
@@ -437,7 +427,7 @@ def test_slab_sampling_equals_leading_columns_of_full_product(n):
             word = _grassmann_word(I, n)
             ts = [rng.randrange(1, MERSENNE_PRIME) for _ in word]
             full = _oracle_group_element_along(word, ts, n, MERSENNE_PRIME)
-            slab = _group_element_along(word, ts, n, MERSENNE_PRIME, r)
+            slab = _group_element_along(word, ts, n, r)
             assert slab == [row[:r] for row in full], (I, word)
 
 
@@ -449,6 +439,37 @@ def test_extremal_minor_equals_gaussian_minor():
             for i in range(n + 1):
                 sub = [g[a - 1][:i] for a in sorted(perm[:i])]
                 assert extremal_minor(g, perm, i) == _oracle_det_mod(sub, MERSENNE_PRIME)
+
+
+# sha256 of repr((r, n, I, J, rhs)) over the non-standard pairs of each
+# Grassmannian in STRAIGHTENING_ORACLE_CASES, in combinations order
+STRAIGHTENING_ORACLE_CASES = [(2, 4), (2, 5), (2, 6), (3, 5), (3, 6)]
+STRAIGHTENING_DIGEST = "fe38a4b07422a8c29da02818d2a8889561ef3ff12791bed53cce3a2c9128ede7"
+
+
+def test_relations_vanish_at_random_matrices_and_keep_their_digest():
+    # p_I p_J - rhs is a nonzero polynomial of degree 2r unless the relation
+    # is exact, so it is nonzero at a random point of F_p^{r x n} with
+    # probability at least 1 - 2r/p; the minors come from Gaussian
+    # elimination, not from the symbolic layer
+    p = MERSENNE_PRIME
+    digest = hashlib.sha256()
+    for r, n in STRAIGHTENING_ORACLE_CASES:
+        rng = random.Random(1000 * r + n)
+        points = []
+        for _ in range(3):
+            m = [[rng.randrange(p) for _ in range(n)] for _ in range(r)]
+            points.append({J: _oracle_det_mod([[row[j - 1] for j in J] for row in m], p)
+                           for J in all_indices(r, n)})
+        for I, J in itertools.combinations(all_indices(r, n), 2):
+            if index_leq(I, J) or index_leq(J, I):
+                continue
+            rel = straighten(I, J, r, n)
+            digest.update(repr((r, n, I, J, rel.rhs)).encode())
+            for x in points:
+                rhs = sum(c * x[I2] * x[J2] for c, (I2, J2) in rel.rhs)
+                assert (x[I] * x[J] - rhs) % p == 0, (I, J, rel.rhs)
+    assert digest.hexdigest() == STRAIGHTENING_DIGEST
 
 
 def _planted_rank_matrix(rng, rows, cols, rank, p):
@@ -591,3 +612,37 @@ def test_every_sample_is_checked_for_vanishing(monkeypatch):
     assert not rep.passed
     assert list(calls.values()) == [num_samples] * len(SEEDS)
     assert rep.ranks_by_seed[0][1] == rep.expected_rank < num_samples
+
+
+def _top_cell_at_last_sample(real, top, num_samples):
+    """A schubert_point_sample that draws the last point of the first seed
+    from the top cell, where off-X_I coordinates are nonzero."""
+    calls: dict = {}
+
+    def sample(J, r, n, rng):
+        first = next(iter(calls), rng)
+        calls[rng] = calls.get(rng, 0) + 1
+        last_of_first = rng is first and calls[rng] == num_samples
+        return real(top if last_of_first else J, r, n, rng)
+
+    return sample
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_vanishing_on_coordinates_equals_vanishing_on_chains(monkeypatch, m):
+    """verify_hodge_iii reads off-X_I coordinates; the eager reference
+    evaluates every off-X_I chain.  On a sample off X_I both must fail the
+    vanishing check in degree >= 1, and neither checks it in degree 0."""
+    import pluecker_reference
+
+    import smtkit.pluecker as pl
+
+    I, r, n, num_samples, top = (1, 3), 2, 4, 20, (3, 4)
+    real = pl.schubert_point_sample
+    monkeypatch.setattr(pl, "schubert_point_sample", _top_cell_at_last_sample(real, top, num_samples))
+    monkeypatch.setattr(
+        pluecker_reference, "schubert_point_sample", _top_cell_at_last_sample(real, top, num_samples)
+    )
+    rep = verify_hodge_iii(I, r, n, m, seeds=SEEDS, num_samples=num_samples)
+    assert rep == eager_hodge_report(I, r, n, m, seeds=SEEDS, num_samples=num_samples)
+    assert rep.vanishing_ok == (m == 0)
