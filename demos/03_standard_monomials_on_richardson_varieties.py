@@ -35,8 +35,9 @@ for m in monos:
 
 print("\n== restriction is subtler than nonvanishing ==")
 s1, s2 = g.simple
-f1 = ctx.posets[0].pair(ctx.posets[0].quotient.project(s1), ctx.posets[0].quotient.project(s1))
-f2 = ctx.posets[1].pair(ctx.posets[1].quotient.project(s2), ctx.posets[1].quotient.project(s2))
+x1 = ctx.posets[0].quotient.from_word(s1.word)
+x2 = ctx.posets[1].quotient.from_word(s2.word)
+f1, f2 = ctx.posets[0].pair(x1, x1), ctx.posets[1].pair(x2, x2)
 on_full = ctx.certify((f1, f2), full)
 on_small = ctx.certify((f1, f2), ctx.pair(g.identity, g.mul(s2, s1)))
 print("p[s1]p[s2] standard on G/B:      ", on_full is not None)

@@ -42,7 +42,6 @@ from .schubert import (
     schubert_divisors,
 )
 from .smt import (
-    RichardsonUnion,
     StandardContext,
     StandardMonomial,
     make_union,
@@ -54,7 +53,6 @@ from .weyl import (
     bruhat_leq_subword,
     format_word,
     stabilizer_subset,
-    unique_extremal,
 )
 
 __version__ = "0.1.0"

@@ -29,6 +29,7 @@ from collections import Counter
 from .admissible import WeightPoset
 from .oracle import demazure_character, mass, weyl_dim
 from .pluecker import (
+    _check_index,
     all_indices,
     relation_residual,
     standard_chain_count,
@@ -104,8 +105,8 @@ def _parse_parabolic(text: str, rank: int) -> frozenset[int]:
     return idxs
 
 
-def _parse_pair(text: str):
-    """The two indices of --pair: "14,23", or "1.4,2.3" for entries over 9."""
+def _parse_pair(text: str, r: int, n: int):
+    """The two indices of --pair on Gr(r, n): "14,23", or "1.4,2.3" past 9."""
     parts = [t.strip() for t in text.split(",")]
     try:
         I, J = (tuple(int(p) for p in (t.split(".") if "." in t else t)) for t in parts)
@@ -113,7 +114,10 @@ def _parse_pair(text: str):
         I = J = ()
     if not I or not J:
         raise UsageError(f"--pair expects two indices such as 14,23, not {text!r}")
-    return I, J
+    try:
+        return _check_index(I, r, n), _check_index(J, r, n)
+    except ValueError as exc:
+        raise UsageError(f"--pair {text!r}: {exc}") from exc
 
 
 def _emit(payload: dict, as_json: bool, lines) -> None:
@@ -190,7 +194,7 @@ def cmd_smt(args) -> int:
         payload["union"] = {
             "components": [
                 {"v": format_word(c.v.word), "w": format_word(c.w.word)}
-                for c in union.components
+                for c in union
             ],
             "count": uc.count,
             "inclusion_exclusion": uc.inclusion_exclusion,
@@ -305,18 +309,21 @@ def cmd_straighten(args) -> int:
         seeds = tuple(int(s) for s in args.seeds.split(","))
     except ValueError as exc:
         raise UsageError(f"--seeds expects comma-separated integers, not {args.seeds!r}") from exc
+    if args.degree is not None and not args.verify_hodge:
+        raise UsageError("--degree needs --verify-hodge")
+    degree = 2 if args.degree is None else args.degree
     if args.verify_hodge:
-        if args.degree < 0:
-            raise UsageError(f"--degree must be nonnegative, not {args.degree}")
-        if args.degree > DEFAULT_DEGREE_CAP:
-            raise UsageError(f"degree {args.degree} exceeds cap {DEFAULT_DEGREE_CAP}")
-        _check_hodge_work(r, n, args.degree, len(seeds))
+        if degree < 0:
+            raise UsageError(f"--degree must be nonnegative, not {degree}")
+        if degree > DEFAULT_DEGREE_CAP:
+            raise UsageError(f"--degree {degree} exceeds cap {DEFAULT_DEGREE_CAP}")
+        _check_hodge_work(r, n, degree, len(seeds))
     failures: list[str] = []
     lines: list[str] = []
     payload: dict = {"grassmann": [r, n], "seeds": list(seeds)}
 
     if args.pair:
-        I, J = _parse_pair(args.pair)
+        I, J = _parse_pair(args.pair, r, n)
         rel = straighten(I, J, r, n)
         exact = relation_residual(rel) == {}
         payload["relation"] = {
@@ -335,7 +342,6 @@ def cmd_straighten(args) -> int:
             failures.append("relation is not an exact identity")
 
     if args.verify_hodge:
-        degree = args.degree
         counts = []
         hodge_i = {}
         for m in range(1, degree + 1):
@@ -406,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--grassmann", required=True)
     pp.add_argument("--pair", default=None)
     pp.add_argument("--verify-hodge", action="store_true")
-    pp.add_argument("--degree", type=int, default=2)
+    pp.add_argument("--degree", type=int, default=None, help="with --verify-hodge (default: 2)")
     pp.add_argument("--seeds", default="1,2,3")
     pp.add_argument("--json", action="store_true")
     pp.set_defaults(func=cmd_straighten)

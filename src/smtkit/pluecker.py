@@ -66,8 +66,10 @@ def _check_index(I, r: int, n: int) -> PlueckerIndex:
     I = tuple(int(i) for i in I)
     if len(I) != r:
         raise ValueError(f"index {I} does not have {r} entries")
-    if any(not 1 <= i <= n for i in I) or any(a >= b for a, b in zip(I, I[1:])):
-        raise ValueError(f"index {I} is not strictly increasing in 1..{n}")
+    if any(not 1 <= i <= n for i in I):
+        raise ValueError(f"index {I} has an entry outside 1..{n}")
+    if any(a >= b for a, b in zip(I, I[1:])):
+        raise ValueError(f"index {I} is not strictly increasing")
     return I
 
 

@@ -10,18 +10,19 @@ when interleaved lifts exist in W^P:
 One walk decides standardness.  It grows chains from the bottom factor up,
 level by level: each prefix (factors i..m-1 with their lifts) carries its
 top lift as the bound, and factor i extends it by v~_i lambda_i-minimal on
-the bound and w~_i lambda_i-minimal on v~_i.  Greedy lifts are least among
-all lifts above the running bound (Deodhar), and the lifts of a standard
-monomial ascend from v to w.  So a prefix whose greedy lift is missing, or is
-not <= w, has no completion at all, and dropping it there loses nothing;
-the test suite cross-checks the greedy rule against an exhaustive search
-over all lift tuples on small cases.  ``enumerate`` walks every factor's
-admissible pairs and sorts the survivors by their choice indices, which is
-the order of the cartesian product of the pair lists; ``certify`` walks one
-pair per factor.
+the bound and w~_i lambda_i-minimal on v~_i, from ``min_lift_above``: greedy
+lifts are least among all lifts above the running bound (Deodhar), and the
+lifts of a standard monomial ascend from v to w.  So a prefix whose greedy
+lift is missing, or is not <= w, has no completion at all, and dropping it
+there loses nothing; the test suite cross-checks the greedy rule against an
+exhaustive search over all lift tuples on small cases.  ``enumerate`` walks
+every factor's admissible pairs and sorts the survivors by their choice
+indices, which is the order of the cartesian product of the pair lists;
+``certify`` walks one pair per factor.
 
 Standardness is order-sensitive: the factor for lam_1 is the top of the
-chain.  Counting on a union of Richardson pairs takes "standard on some
+chain.  A union of Richardson pairs is the tuple of its irredundant
+components (``make_union``).  Counting on it takes "standard on some
 component" verbatim; pairwise intersections are expanded inside the poset
 W^P as unions of pairs (maximal lower bounds of the w's against minimal
 upper bounds of the v's), which is what makes the inclusion-exclusion
@@ -35,11 +36,10 @@ from dataclasses import dataclass
 from .admissible import AdmissiblePair, WeightPoset
 from .rootdata import Weight
 from .schubert import RichardsonPair, make_pair
-from .weyl import ParabolicQuotient, WeylElement, WeylGroup, unique_extremal
+from .weyl import ParabolicQuotient, WeylElement, WeylGroup
 
 __all__ = [
     "StandardMonomial",
-    "RichardsonUnion",
     "StandardContext",
     "UnionCount",
     "make_union",
@@ -58,15 +58,9 @@ class StandardMonomial:
     total_weight: Weight
 
 
-@dataclass(frozen=True)
-class RichardsonUnion:
-    """An irredundant finite union of Richardson pairs."""
-
-    components: tuple[RichardsonPair, ...]
-
-
-def make_union(quot: ParabolicQuotient, components) -> RichardsonUnion:
-    """Drop duplicate components and components contained in another."""
+def make_union(quot: ParabolicQuotient, components) -> tuple[RichardsonPair, ...]:
+    """An irredundant union of Richardson pairs: the components kept after
+    dropping duplicates and components contained in another."""
     comps = list(dict.fromkeys(components))
     kept = [
         c
@@ -76,7 +70,7 @@ def make_union(quot: ParabolicQuotient, components) -> RichardsonUnion:
             for j in range(len(comps))
         )
     ]
-    return RichardsonUnion(tuple(kept))
+    return tuple(kept)
 
 
 @dataclass(frozen=True)
@@ -114,15 +108,19 @@ class StandardContext:
     def min_lift_above(
         self, factor_index: int, x_class: WeylElement, base: WeylElement
     ) -> WeylElement | None:
-        """The least lift of x_class into W^P above base, via the lift table."""
-        cands = [
-            x
-            for x in self.lift_tables[factor_index].get(x_class, ())
-            if self.quot.leq(base, x)
-        ]
-        if not cands:
+        """The least lift of x_class into W^P above base (lambda-minimal on
+        base), or None.  By Deodhar's lemma it is unique.  The lift table is
+        in shortlex order and x < y forces l(x) < l(y), so it is the first
+        lift above base; it is compared with every other, and a failure
+        raises rather than pick arbitrarily."""
+        leq = self.quot.leq
+        above = [x for x in self.lift_tables[factor_index].get(x_class, ()) if leq(base, x)]
+        if not above:
             return None
-        return unique_extremal(self.quot, cands, want_max=False)
+        least = above[0]
+        if not all(leq(least, x) for x in above[1:]):
+            raise AssertionError("Deodhar uniqueness failed: no unique extremal lift")
+        return least
 
     def certify(self, factors, pair: RichardsonPair) -> tuple[WeylElement, ...] | None:
         """Greedy interleaved lifts from below; None when not standard."""
@@ -173,19 +171,19 @@ class StandardContext:
             for w in ws
             if self.quot.leq(v, w)
         ]
-        return make_union(self.quot, comps).components
+        return make_union(self.quot, comps)
 
-    def count_on_union(self, union: RichardsonUnion) -> UnionCount:
+    def count_on_union(self, union: tuple[RichardsonPair, ...]) -> UnionCount:
         """Count the monomials standard on at least one component.
 
         Each component is enumerated once, for both the count and the
         inclusion-exclusion terms."""
-        sets = [{m.factors for m in self.enumerate(c)} for c in union.components]
+        sets = [{m.factors for m in self.enumerate(c)} for c in union]
         ie = None
         if len(sets) == 2:
             inter = {
                 m.factors
-                for c in self.intersection_components(*union.components)
+                for c in self.intersection_components(*union)
                 for m in self.enumerate(c)
             }
             ie = len(sets[0]) + len(sets[1]) - len(inter)

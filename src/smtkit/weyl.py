@@ -1,9 +1,9 @@
-"""Weyl groups, Bruhat order, parabolic quotients, and Deodhar lifts.
+"""Weyl groups, Bruhat order and parabolic quotients.
 
-An element is identified by its Cartan type and its canonical word, the
-lexicographically least reduced word.  Equality and hashing go by them, so
-one element met in W, in W^P, in W^lam or in a separately built group
-compares equal; its ``id`` is its position in the run that built it.
+An element is its Cartan type and its canonical word, the lexicographically
+least reduced word.  Equality and hashing go by them, so one element met in
+W, in W^P, in W^lam or in a separately built group compares equal; its
+position in a quotient is ``quot.pos[x]``.
 
 One routine builds every parabolic quotient W^P, and W itself is the case
 P = {}: a breadth-first search over the orbit points mu = x(rho_P), where
@@ -13,11 +13,10 @@ when mu_j > 0, and the left descents of x are the i with mu_i < 0.  So the
 canonical word of x is its least left descent i followed by the word of its
 parent s_i x; sorting each length by word keeps the run in shortlex order.
 A step costs O(n): s_j(mu) = mu - mu_j alpha_j.  Everything else is read
-off points.  The coset x W_P is named by x(rho_P), so ``project`` and
-``from_word`` fold a word on rho_P and look the point up; ``lifts`` groups
-the members of W^P by their point x(rho_lam) in a coarser quotient;
-``orbit`` steps along the parent chain; and the order-reversing involution
-is w_o(x(rho_P)).  A quotient costs O(|W^P|), never O(|W|).
+off points.  The coset x W_P is named by x(rho_P), so ``from_word`` folds
+a word on rho_P and looks the point up; ``lifts`` groups the members of W^P
+by their point x(rho_lam) in a coarser quotient; ``orbit`` steps along the
+parent chain; and the order-reversing involution is w_o(x(rho_P)).  A quotient costs O(|W^P|), never O(|W|).
 
 ``WeylGroup`` is a cheap handle on the root system: the identity, the simple
 reflections and w_o, whose word is peeled off the point -rho.  Its element
@@ -33,11 +32,6 @@ its left root gamma.  W^P is graded, so the order ideal below y is bit(y)
 OR the ideals of its covers: one Python int per element, built bottom-up on
 first use, and ``leq`` is a single bit test.  The exponential subword test
 is kept alongside as an independent cross-check for the test suite.
-
-A Deodhar lift ("lambda-maximal in w" / "lambda-minimal on w") is the unique
-extremal element among the lifts of a class below or above a bound;
-``unique_extremal`` asserts that uniqueness, and a failure, which would
-contradict Deodhar's lemma, raises immediately.
 """
 
 from __future__ import annotations
@@ -54,7 +48,6 @@ __all__ = [
     "ParabolicQuotient",
     "bruhat_leq_subword",
     "stabilizer_subset",
-    "unique_extremal",
     "format_word",
     "DEFAULT_ORDER_CAP",
 ]
@@ -63,17 +56,15 @@ DEFAULT_ORDER_CAP = 50_000
 
 
 class WeylElement:
-    """A Weyl group element, identified by its Cartan type and canonical
-    (lexicographically least reduced) word; ``id`` is its position in the
-    run that built it, and -1, the last position of W, for w_o."""
+    """A Weyl group element: its Cartan type and its canonical
+    (lexicographically least reduced) word."""
 
-    __slots__ = ("cartan_type", "word", "length", "id", "_hash")
+    __slots__ = ("cartan_type", "word", "length", "_hash")
 
-    def __init__(self, cartan_type: str, word: tuple[int, ...], id: int = 0):
+    def __init__(self, cartan_type: str, word: tuple[int, ...]):
         self.cartan_type = cartan_type
         self.word = word
         self.length = len(word)
-        self.id = id
         self._hash = hash((cartan_type, word))
 
     def __eq__(self, other) -> bool:
@@ -132,8 +123,8 @@ def _least_descent(mu: tuple[int, ...]) -> int | None:
 class WeylGroup:
     """A finite Weyl group: a handle on its root system holding the identity,
     the simple reflections and w_o.  The element list, ``len``, ``leq``,
-    ``from_word``, ``mul``, ``inv`` and ``orbit`` build all of W (the Borel
-    quotient) on first use."""
+    ``from_word`` and ``mul`` build all of W (the Borel quotient) on first
+    use."""
 
     def __init__(self, rs: RootSystem, order_cap: int = DEFAULT_ORDER_CAP):
         self.rs = rs
@@ -142,14 +133,14 @@ class WeylGroup:
         # alpha_j in weight coordinates is column j of the Cartan matrix
         self._alphas = [tuple(rs.cartan[k][j] for k in range(n)) for j in range(n)]
         t = rs.cartan_type
-        self.identity = WeylElement(t, (), 0)
-        self.simple = tuple(WeylElement(t, (j,), j + 1) for j in range(n))
+        self.identity = WeylElement(t, ())
+        self.simple = tuple(WeylElement(t, (j,)) for j in range(n))
         # w_o(rho) = -rho: peel least left descents off the point until rho
         mu, word = (-1,) * n, []
         while (i := _least_descent(mu)) is not None:
             word.append(i)
             mu = _act(self._alphas, (i,), mu)
-        self.w_o = WeylElement(t, tuple(word), -1)
+        self.w_o = WeylElement(t, tuple(word))
         # weak, so that a quotient, which refers back to its group, is freed
         # with its last user rather than kept in a cycle until collection
         self._quotients = weakref.WeakValueDictionary()
@@ -169,7 +160,7 @@ class WeylGroup:
 
     @property
     def elements(self) -> tuple[WeylElement, ...]:
-        """All of W in shortlex order; the id of each is its position."""
+        """All of W in shortlex order, the order of ``quotient(()).pos``."""
         return self._borel.min_reps
 
     def __len__(self) -> int:
@@ -180,13 +171,6 @@ class WeylGroup:
 
     def mul(self, x: WeylElement, y: WeylElement) -> WeylElement:
         return self.from_word(x.word + y.word)
-
-    def inv(self, x: WeylElement) -> WeylElement:
-        return self.from_word(x.word[::-1])
-
-    def orbit(self, mu: Weight) -> list[tuple[int, ...]]:
-        """x(mu) for every x of W, in id order."""
-        return self._borel.orbit(mu)
 
     def leq(self, x: WeylElement, y: WeylElement) -> bool:
         """Bruhat order: the bitset test of the Borel quotient."""
@@ -248,7 +232,7 @@ class ParabolicQuotient:
                 new.append(((i,) + reps[k].word, nu, k))
             for word, nu, k in sorted(new):
                 at[nu] = len(reps)
-                reps.append(WeylElement(t, word, len(reps)))
+                reps.append(WeylElement(t, word))
                 points.append(nu)
                 parent.append(k)
         self.min_reps: tuple[WeylElement, ...] = tuple(reps)
@@ -296,10 +280,6 @@ class ParabolicQuotient:
     def from_word(self, word) -> WeylElement:
         """The representative of the coset (s_{i1} ... s_{ik}) W_P of any word."""
         return self.min_reps[self._at[_act(self.group._alphas, tuple(word), self.rho_p)]]
-
-    def project(self, x: WeylElement) -> WeylElement:
-        """Minimal-length representative of the coset x W_P."""
-        return self.from_word(x.word)
 
     def orbit(self, mu: Weight) -> list[tuple[int, ...]]:
         """x(mu) for every x in W^P, in the order of ``min_reps``:
@@ -367,21 +347,3 @@ def stabilizer_subset(rs: RootSystem, lam: Weight) -> frozenset[int]:
     if not lam.is_dominant:
         raise ValueError("weight is not dominant")
     return frozenset(i for i, c in enumerate(lam.coords) if c == 0)
-
-
-def unique_extremal(order, candidates, want_max: bool) -> WeylElement:
-    """The unique greatest (or least) element of a nonempty candidate set.
-
-    ``order`` is anything with a Bruhat ``leq``: a WeylGroup, or a
-    ParabolicQuotient holding every candidate.  x < y in Bruhat order forces
-    l(x) < l(y), so a least element, when there is one, is the unique
-    shortest candidate (a greatest one the unique longest): the shortest
-    candidate is compared with every other, O(k) tests in all.  Uniqueness
-    here is Deodhar's lemma; its failure is a hard error, never a silently
-    arbitrary choice.
-    """
-    leq = order.leq
-    e = (max if want_max else min)(candidates, key=lambda c: c.length)
-    if not all(leq(c, e) if want_max else leq(e, c) for c in candidates):
-        raise AssertionError("Deodhar uniqueness failed: no unique extremal lift")
-    return e

@@ -154,8 +154,9 @@ def test_extremal_weight_map_is_injective():
         g = WeylGroup(rs)
         for lam in classical_weights(rs):
             poset = WeightPoset(g, lam)
-            orbit = g.orbit(lam)
-            images = {orbit[g.from_word(x.word).id] for x in poset.quotient.min_reps}
+            borel = g.quotient(())
+            orbit = borel.orbit(lam)
+            images = {orbit[borel.pos[x]] for x in poset.quotient.min_reps}
             assert len(images) == len(poset.quotient.min_reps)
 
 

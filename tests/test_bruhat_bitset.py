@@ -32,13 +32,14 @@ class RecursiveLeq:
 
         x <= y  iff  min(x, s x) <= s y    for a left descent s of y,
 
-    memoised on ids; s x is looked up by the product of action matrices."""
+    memoised on positions in W; s x is looked up by the product of action
+    matrices."""
 
     def __init__(self, g):
         m = MatrixOracle(g)
         self.length = [x.length for x in g.elements]
         self.left = [
-            [m.index[mat_mul(s, m.matrix[x.id])] for s in m.simple] for x in g.elements
+            [m.index[mat_mul(s, mx)] for s in m.simple] for mx in m.matrix
         ]
         self.memo = {}
 
@@ -68,9 +69,9 @@ def test_every_pair_matches_subword_oracle(label):
 def test_every_pair_matches_recursive_criterion(label):
     g = group_of(label)
     ref = RecursiveLeq(g)
-    for x in g.elements:
-        for y in g.elements:
-            assert g.leq(x, y) == ref(x.id, y.id), (x, y)
+    for i, x in enumerate(g.elements):
+        for j, y in enumerate(g.elements):
+            assert g.leq(x, y) == ref(i, j), (x, y)
 
 
 def test_f4_sample_matches_recursive_criterion():
@@ -116,6 +117,6 @@ def test_covers_are_reflection_steps(label):
                 v
                 for v in q.min_reps
                 if v.length == y.length - 1
-                and reflection_root(g, g.mul(g.inv(y), v)) is not None
+                and reflection_root(g, g.mul(g.from_word(y.word[::-1]), v)) is not None
             ]
             assert list(q.cover_roots(y)) == expected

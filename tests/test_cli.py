@@ -147,7 +147,8 @@ def test_bad_seeds_are_a_usage_error_naming_the_flag(capsys, seeds, task):
     assert "--seeds" in err and "invalid literal" not in err
 
 
-@pytest.mark.parametrize("pair", ["1x,23", "1.x,23", ",23"])
+# an entry out of 1..4 and an index of three entries parse, but Gr(2,4) refuses them
+@pytest.mark.parametrize("pair", ["1x,23", "1.x,23", ",23", "15,23", "123,23"])
 def test_bad_pair_is_a_usage_error_naming_the_flag(capsys, pair):
     code, out, err = run(capsys, "straighten", "--grassmann", "2,4", "--pair", pair)
     assert code == 2
@@ -327,6 +328,21 @@ def test_negative_degree_is_a_usage_error_naming_the_flag(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: --degree must be nonnegative, not -1\n"
+
+
+def test_degree_over_the_cap_is_a_usage_error_naming_the_flag(capsys):
+    code, out, err = run(capsys, "straighten", "--grassmann", "2,4", "--verify-hodge", "--degree", "5")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --degree 5 exceeds cap 4\n"
+
+
+@pytest.mark.parametrize("task", [["--pair", "14,23"], []])
+def test_degree_without_verify_hodge_is_a_usage_error(capsys, task):
+    code, out, err = run(capsys, "straighten", "--grassmann", "2,4", *task, "--degree", "9")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --degree needs --verify-hodge\n"
 
 
 def test_broken_invariant_is_a_failed_check(capsys, monkeypatch):

@@ -2,7 +2,8 @@
 
 ``ParabolicQuotient.lifts`` backs both ``StandardContext.min_lift_above``
 and ``extremal_restricts_nonzero``.  Here each answer is recomputed by
-projecting every member of W^P, the scan the table replaced.
+projecting every member of W^P, the scan the table replaced, and the least
+lift above a bound by scanning for the lift below all the others.
 """
 
 import itertools
@@ -12,13 +13,14 @@ import pytest
 from smtkit.rootdata import build_root_system
 from smtkit.schubert import extremal_restricts_nonzero, make_pair
 from smtkit.smt import StandardContext
-from smtkit.weyl import ParabolicQuotient, WeylGroup, stabilizer_subset, unique_extremal
+from smtkit.weyl import ParabolicQuotient, WeylGroup, stabilizer_subset
 
 from test_schubert import classical_weights  # shared sweep helper
+from test_weyl import extremal_scan
 
 
 def _scan(quot_p, quot_lam, x_class):
-    return [x for x in quot_p.min_reps if quot_lam.project(x) == x_class]
+    return [x for x in quot_p.min_reps if quot_lam.from_word(x.word) == x_class]
 
 
 def _subsets(indices):
@@ -41,7 +43,8 @@ def test_min_lift_above_matches_scan(label):
                 assert ctx.lift_tables[0][x_class] == tuple(lifts)
                 for base in quot.min_reps:
                     above = [x for x in lifts if quot.leq(base, x)]
-                    want = unique_extremal(quot, above, want_max=False) if above else None
+                    want = extremal_scan(quot.leq, above, want_max=False)
+                    assert (want is None) == (not above)
                     assert ctx.min_lift_above(0, x_class, base) == want
                     checked += 1
     assert checked > 0

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -540,6 +541,21 @@ def test_plucker_accepts_lists_and_rejects_bad_indices():
             pt.plucker(bad)
         with pytest.raises(ValueError):
             pt.chain_value([(1, 2), bad])
+
+
+@pytest.mark.parametrize(
+    "bad, fault",
+    [
+        ((1, 2, 3), "does not have 2 entries"),
+        ((0, 2), "has an entry outside 1..4"),
+        ((1, 5), "has an entry outside 1..4"),
+        ((3, 2), "is not strictly increasing"),
+        ((2, 2), "is not strictly increasing"),
+    ],
+)
+def test_bad_indices_name_their_fault(bad, fault):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'index {bad} {fault}')}$"):
+        straighten(bad, (2, 3), 2, 4)
 
 
 @pytest.mark.parametrize("n", range(2, 8))

@@ -190,4 +190,4 @@ def test_weight_with_wrong_number_of_coordinates_rejected(coords):
     with pytest.raises(ValueError):
         StandardContext(g, (), (lam,))
     with pytest.raises(ValueError):
-        g.orbit(lam)
+        g.quotient(()).orbit(lam)

@@ -187,7 +187,7 @@ def test_moving_divisor_dichotomy(label):
             s_alpha = g.elements[m.reflection_id[alpha.coords]]
             for u in q.min_reps:
                 if q.leq(u, w):
-                    su = q.project(g.mul(s_alpha, u))
+                    su = q.from_word(g.mul(s_alpha, u).word)
                     assert q.leq(u, v) or q.leq(su, v)
 
 
@@ -261,14 +261,14 @@ def test_extremal_restriction_truth_table():
                     continue
                 pair = make_pair(QB, v, w)
                 expected = any(
-                    ql.project(x) == x_class and QB.leq(v, x) and QB.leq(x, w)
+                    ql.from_word(x.word) == x_class and QB.leq(v, x) and QB.leq(x, w)
                     for x in GA2.elements
                 )
                 assert extremal_restricts_nonzero(QB, ql, x_class, pair) == expected
     # the lift w(lam) of the top always works
     for w in GA2.elements:
         pair = make_pair(QB, GA2.identity, w)
-        assert extremal_restricts_nonzero(QB, ql, ql.project(w), pair)
+        assert extremal_restricts_nonzero(QB, ql, ql.from_word(w.word), pair)
 
 
 def test_extremal_restriction_regular_weight():
@@ -293,8 +293,8 @@ def test_image_of_richardson_need_not_be_richardson():
     pair = make_pair(QB, s2, w)
     lam = A2.fundamental_weight(0)
     ql = lambda_quotient(A2, GA2, lam)
-    image_classes = {ql.project(x) for x in QB.interval(pair.v, pair.w)}
-    assert image_classes == {ql.project(s2), ql.project(w)}
+    image_classes = {ql.from_word(x.word) for x in QB.interval(pair.v, pair.w)}
+    assert image_classes == {ql.from_word(s2.word), ql.from_word(w.word)}
     assert image_classes == {GA2.identity, w}  # e_{omega_1} and e_{s2s1(omega_1)}
     intervals = {
         frozenset(ql.interval(a, b))

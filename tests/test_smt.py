@@ -6,7 +6,7 @@ import pytest
 from smtkit.oracle import demazure_character, mass, weyl_dim
 from smtkit.rootdata import build_root_system
 from smtkit.schubert import richardson_contains
-from smtkit.smt import RichardsonUnion, StandardContext, make_union
+from smtkit.smt import StandardContext, make_union
 from smtkit.weyl import WeylGroup, stabilizer_subset
 
 A2 = build_root_system("A", 2)
@@ -20,9 +20,9 @@ def exhaustive_certificate_exists(ctx, factors, pair):
     g = ctx.group
     per_factor = []
     for i, f in enumerate(factors):
-        proj = ctx.posets[i].quotient.project
-        lifts_v = [x for x in ctx.quot.min_reps if proj(x) == f.v]
-        lifts_w = [x for x in ctx.quot.min_reps if proj(x) == f.w]
+        proj = ctx.posets[i].quotient.from_word
+        lifts_v = [x for x in ctx.quot.min_reps if proj(x.word) == f.v]
+        lifts_w = [x for x in ctx.quot.min_reps if proj(x.word) == f.w]
         per_factor.append(
             [(a, b) for a in lifts_v for b in lifts_w if g.leq(a, b)]
         )
@@ -84,8 +84,8 @@ def test_point_pair_has_one_monomial():
         assert len(monos) == 1
         (m,) = monos
         assert all(f.is_trivial for f in m.factors)
-        assert m.factors[0].w == ctx.posets[0].quotient.project(w)
-        assert m.factors[1].w == ctx.posets[1].quotient.project(w)
+        assert m.factors[0].w == ctx.posets[0].quotient.from_word(w.word)
+        assert m.factors[1].w == ctx.posets[1].quotient.from_word(w.word)
 
 
 def test_remark_counterexample_combinatorial():
@@ -93,8 +93,9 @@ def test_remark_counterexample_combinatorial():
     # X_{s2s1} (numeric side in test_pluecker), but is NOT standard there.
     s1, s2 = GA2.simple
     ctx = StandardContext(GA2, set(), (W1, W2))
-    f1 = ctx.posets[0].pair(ctx.posets[0].quotient.project(s1), ctx.posets[0].quotient.project(s1))
-    f2 = ctx.posets[1].pair(ctx.posets[1].quotient.project(s2), ctx.posets[1].quotient.project(s2))
+    x1 = ctx.posets[0].quotient.from_word(s1.word)
+    x2 = ctx.posets[1].quotient.from_word(s2.word)
+    f1, f2 = ctx.posets[0].pair(x1, x1), ctx.posets[1].pair(x2, x2)
     assert ctx.certify((f1, f2), ctx.pair(GA2.identity, GA2.w_o)) is not None
     assert ctx.certify((f1, f2), ctx.pair(GA2.identity, GA2.mul(s2, s1))) is None
 
@@ -171,7 +172,7 @@ def test_union_single_and_idempotent():
     u1 = make_union(ctx.quot, [x])
     assert ctx.count_on_union(u1).count == len(ctx.enumerate(x))
     u2 = make_union(ctx.quot, [x, x])
-    assert u2.components == (x,)
+    assert u2 == (x,)
     assert ctx.count_on_union(u2).count == len(ctx.enumerate(x))
 
 

@@ -1,6 +1,7 @@
 import pytest
 
 from smtkit.rootdata import build_root_system
+from smtkit.smt import StandardContext
 from smtkit.weyl import (
     ParabolicQuotient,
     WeylGroup,
@@ -8,7 +9,6 @@ from smtkit.weyl import (
     format_word,
     parse_word,
     stabilizer_subset,
-    unique_extremal,
 )
 from weyl_matrices import MatrixOracle, inversions, mat_mul, reduced_words
 
@@ -81,7 +81,7 @@ def test_each_coset_has_unique_minimal_rep():
     q = ParabolicQuotient(g, {0})
     seen = {}
     for x in g.elements:
-        rep = q.project(x)
+        rep = q.from_word(x.word)
         assert rep in q.pos
         assert rep.length <= x.length
         seen.setdefault(rep, set()).add(x)
@@ -130,30 +130,52 @@ def test_stabilizer_subset():
         stabilizer_subset(a2, a2.weight((-1, 0)))
 
 
+def extremal_scan(leq, cands, want_max):
+    """The element of cands above (want_max) or below all the others, or None:
+    an exhaustive scan over cands, with no appeal to lengths."""
+    if want_max:
+        found = [e for e in cands if all(leq(c, e) for c in cands)]
+    else:
+        found = [e for e in cands if all(leq(e, c) for c in cands)]
+    assert len(found) <= 1
+    return found[0] if found else None
+
+
 def _lift_scan(group, quot_p, quot_lam, x_class, w, above):
-    lifts = [x for x in quot_p.min_reps if quot_lam.project(x) == x_class]
+    lifts = [x for x in quot_p.min_reps if quot_lam.from_word(x.word) == x_class]
     if above:
         return [x for x in lifts if group.leq(w, x)]
     return [x for x in lifts if group.leq(x, w)]
 
 
 def _extremal_lift(group, quot_p, quot_lam, x_class, w, above):
-    """The least lift above w (or greatest below w) from the scan, or None."""
+    """The least lift above w (or greatest below w) from the scan, or None;
+    a nonempty lift set without one contradicts Deodhar's lemma."""
     cands = _lift_scan(group, quot_p, quot_lam, x_class, w, above)
-    return unique_extremal(group, cands, want_max=not above) if cands else None
+    got = extremal_scan(group.leq, cands, want_max=not above)
+    assert (got is None) == (not cands), "Deodhar uniqueness failed"
+    return got
 
 
-def test_unique_extremal_raises_without_an_extremal_element():
-    g = WeylGroup(build_root_system("A", 2))
+def test_min_lift_above_raises_without_a_least_lift():
+    rs = build_root_system("A", 2)
+    g = WeylGroup(rs)
     s1, s2 = g.simple
     s1s2 = g.from_word((0, 1))
     for want_max in (False, True):
-        with pytest.raises(AssertionError):
-            unique_extremal(g, [s1, s2], want_max=want_max)
+        assert extremal_scan(g.leq, [s1, s2], want_max) is None
     # s1 and s2 are both minimal; s1s2 lies above both
-    with pytest.raises(AssertionError):
-        unique_extremal(g, [s1, s2, s1s2], want_max=False)
-    assert unique_extremal(g, [s1, s2, s1s2], want_max=True) == s1s2
+    assert extremal_scan(g.leq, [s1, s2, s1s2], want_max=False) is None
+    assert extremal_scan(g.leq, [s1, s2, s1s2], want_max=True) == s1s2
+    # A2 Borel: a lift table with the incomparable s1 and s2 above e
+    ctx = StandardContext(g, (), (rs.weight((1, 1)),))
+    x_class = ctx.posets[0].quotient.top()
+    for lifts in [(s1, s2), (s1, s2, s1s2)]:
+        ctx.lift_tables = ({x_class: lifts},)
+        with pytest.raises(AssertionError, match="Deodhar uniqueness failed"):
+            ctx.min_lift_above(0, x_class, g.identity)
+        assert ctx.min_lift_above(0, x_class, s1) == s1
+        assert ctx.min_lift_above(0, x_class, s2) == s2
 
 
 @pytest.mark.parametrize("label,coords", [("A2", (1, 0)), ("B2", (0, 1)), ("C2", (0, 1))])
@@ -165,6 +187,7 @@ def test_deodhar_uniqueness_exhaustive(label, coords):
     lam = rs.weight(coords)
     qp = ParabolicQuotient(g, set())
     ql = ParabolicQuotient(g, stabilizer_subset(rs, lam))
+    ctx = StandardContext(g, (), (lam,))
     for x_class in ql.min_reps:
         for w in g.elements:
             below = _lift_scan(g, qp, ql, x_class, w, above=False)
@@ -181,6 +204,7 @@ def test_deodhar_uniqueness_exhaustive(label, coords):
                 assert all(g.leq(got, c) for c in above)
             else:
                 assert got is None
+            assert ctx.min_lift_above(0, x_class, w) == got
 
 
 def test_lift_examples():
@@ -194,7 +218,7 @@ def test_lift_examples():
         assert _extremal_lift(g, q_reg, q_reg, x, g.w_o, above=False) == x
     # P = P_lam: the lift of proj(w) below w, within W^lam, is proj(w)
     for w in ql.min_reps:
-        assert _extremal_lift(g, ql, ql, ql.project(w), w, above=False) == w
+        assert _extremal_lift(g, ql, ql, ql.from_word(w.word), w, above=False) == w
     # A2, P = B, lam = omega_1: lift of s1-class below w_o is the coset max
     qp = ParabolicQuotient(g, set())
     s1 = g.simple[0]
@@ -215,16 +239,16 @@ def test_word_round_trip():
 def test_multiplication_tables(label):
     g = WeylGroup(build_root_system(label[0], int(label[1])))
     oracle = MatrixOracle(g)
-    m = oracle.matrix
+    m, pos = oracle.matrix, g.quotient(()).pos
     for i, x in enumerate(g.elements):
-        assert x.id == i
+        assert pos[x] == i
         for j in range(g.rank):
-            assert m[g.from_word((j,) + x.word).id] == mat_mul(oracle.simple[j], m[x.id])
-            assert m[g.from_word(x.word + (j,)).id] == mat_mul(m[x.id], oracle.simple[j])
+            assert m[pos[g.from_word((j,) + x.word)]] == mat_mul(oracle.simple[j], m[i])
+            assert m[pos[g.from_word(x.word + (j,))]] == mat_mul(m[i], oracle.simple[j])
     for x in g.elements:
-        assert mat_mul(m[g.inv(x).id], m[x.id]) == m[g.identity.id]
+        assert mat_mul(m[pos[g.from_word(x.word[::-1])]], m[pos[x]]) == m[pos[g.identity]]
         for y in g.elements:
-            assert m[g.mul(x, y).id] == mat_mul(m[x.id], m[y.id])
+            assert m[pos[g.mul(x, y)]] == mat_mul(m[pos[x]], m[pos[y]])
 
 
 @pytest.mark.parametrize("label", ["B3", "C3", "G2"])
@@ -232,9 +256,9 @@ def test_equal_elements_of_separate_groups_agree(label):
     rs = build_root_system(label[0], int(label[1]))
     g1, g2 = WeylGroup(rs), WeylGroup(build_root_system(label[0], int(label[1])))
     q1 = ParabolicQuotient(g1, set())
-    for x1, x2 in zip(g1.elements, g2.elements):
+    for i, (x1, x2) in enumerate(zip(g1.elements, g2.elements)):
         assert x1 is not x2
         assert x1 == x2 and hash(x1) == hash(x2)
-        assert q1.pos[x2] == g2.quotient(()).pos[x1] == x1.id == x2.id
-        assert g1.inv(x2) == g2.inv(x1)
+        assert q1.pos[x2] == g2.quotient(()).pos[x1] == i
+        assert g1.from_word(x2.word[::-1]) == g2.from_word(x1.word[::-1])
         assert q1.leq(x2, g2.w_o) and q1.leq(g2.identity, x2)

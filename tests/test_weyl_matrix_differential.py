@@ -3,7 +3,7 @@
 Every element is identified by its canonical word, and every quotient and
 weight image is read off orbit points; here each element's action matrix is
 rebuilt from its word (tests/weyl_matrices.py) and every query is recomputed
-from the matrices: ids and equality, reflections, W^P, covers with their
+from the matrices: positions and equality, reflections, W^P, covers with their
 roots, Chevalley multiplicities and moving roots on every parabolic subset,
 weight orbits, projections, quotient words, the order-reversing involution
 and per-quotient orbits, and for each classical fundamental weight the lift
@@ -49,14 +49,14 @@ def oracle_min_reps(g, m, subset):
         key = m.apply(x, rho_p)
         if key not in best or x.length < best[key].length:
             best[key] = x
-    return sorted(best.values(), key=lambda x: x.id)
+    return sorted(best.values(), key=m.pos.__getitem__)
 
 
 def oracle_covers(g, m, ids, y):
     """(child, root) for the v = y s_beta in W^P (ids) of length l(y) - 1."""
     out = []
     for beta, k in m.reflection_id.items():
-        v = m.index[mat_mul(m.matrix[y.id], m.matrix[k])]
+        v = m.index[mat_mul(m.word_matrix(y.word), m.matrix[k])]
         if v in ids and g.elements[v].length == y.length - 1:
             out.append((v, beta))
     return sorted(out)
@@ -69,14 +69,14 @@ def test_identity_and_reflections_match_matrices(label):
     n = len(g)
     pos = g.quotient(()).pos
     assert len(set(g.elements)) == len(pos) == len(m.index) == n
-    for x in g.elements:
-        assert pos[x] == x.id
-        x2, other = g2.elements[x.id], g2.elements[(x.id + 1) % n]
-        assert m.word_matrix(x2.word) == m.matrix[x.id]
-        assert x == x2 and hash(x) == hash(x2) and pos[x2] == x.id
+    for i, x in enumerate(g.elements):
+        assert pos[x] == i
+        x2, other = g2.elements[i], g2.elements[(i + 1) % n]
+        assert m.word_matrix(x2.word) == m.matrix[i]
+        assert x == x2 and hash(x) == hash(x2) and pos[x2] == i
         assert x != other
         beta = reflection_root(g, x)
-        assert (beta.coords if beta is not None else None) == m.root_of.get(x.id)
+        assert (beta.coords if beta is not None else None) == m.root_of.get(i)
 
 
 @pytest.mark.parametrize("label", TYPES)
@@ -87,7 +87,7 @@ def test_orbit_matches_matrices(label):
         tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
     ]
     for mu in weights:
-        assert g.orbit(Weight(mu)) == [mat_vec(a, mu) for a in m.matrix]
+        assert g.quotient(()).orbit(Weight(mu)) == [mat_vec(a, mu) for a in m.matrix]
 
 
 @pytest.mark.parametrize("label", TYPES)
@@ -98,13 +98,13 @@ def test_quotients_match_matrices(label):
         reps = oracle_min_reps(g, m, subset)
         assert [x.word for x in q.min_reps] == [x.word for x in reps], subset
         rho_p = tuple(0 if i in subset else 1 for i in range(g.rank))
-        ids = {x.id for x in reps}
+        ids = {m.pos[x] for x in reps}
         for y in reps:
             want = oracle_covers(g, m, ids, y)
-            got = [g.from_word(v.word).id for v in q.cover_roots(y)]
+            got = [m.pos[v] for v in q.cover_roots(y)]
             assert got == [v for v, _ in want], (subset, y)
             steps = schubert_divisors(q, y)
-            assert [(g.from_word(d.child.word).id, d.beta.coords) for d in steps] == want, (
+            assert [(m.pos[d.child], d.beta.coords) for d in steps] == want, (
                 subset, y)
             for v, beta in want:
                 child = g.elements[v]
@@ -112,7 +112,7 @@ def test_quotients_match_matrices(label):
                 assert got == m.multiplicity(rho_p, beta), (subset, y, child)
                 simple = [
                     i for i, s in enumerate(m.simple)
-                    if mat_mul(s, m.matrix[y.id]) == m.matrix[v]
+                    if mat_mul(s, m.word_matrix(y.word)) == m.matrix[v]
                 ]
                 alpha = moving_root(q, child, y)
                 assert (alpha.coords if alpha is not None else None) == (
@@ -128,9 +128,9 @@ def _key(x):
 def oracle_pairs(g, m, lam, reps):
     """Admissible pairs by the closure of multiplicity-2 covers, with the
     lex-least witness chain and xi2 = -(w(lam) + v(lam)), from matrices."""
-    ids = {x.id for x in reps}
+    ids = {m.pos[x] for x in reps}
     covers = {
-        y.id: sorted(
+        m.pos[y]: sorted(
             ((g.elements[v], m.multiplicity(lam, beta)) for v, beta in oracle_covers(g, m, ids, y)),
             key=lambda t: _key(t[0]),
         )
@@ -138,18 +138,20 @@ def oracle_pairs(g, m, lam, reps):
     }
     below = {}
     for y in reps:
-        reach = {y.id}
-        for child, mult in covers[y.id]:
+        reach = {m.pos[y]}
+        for child, mult in covers[m.pos[y]]:
             if mult == 2:
-                reach |= below[child.id]
-        below[y.id] = reach
+                reach |= below[m.pos[child]]
+        below[m.pos[y]] = reach
     out = []
     for w in reps:
-        for v in sorted((g.elements[k] for k in below[w.id]), key=_key):
+        for v in sorted((g.elements[k] for k in below[m.pos[w]]), key=_key):
             chain, cur = [], w
             while v != w and cur != v:
                 chain.append(cur.word)
-                cur = next(c for c, mult in covers[cur.id] if mult == 2 and v.id in below[c.id])
+                cur = next(
+                    c for c, mult in covers[m.pos[cur]] if mult == 2 and m.pos[v] in below[m.pos[c]]
+                )
             if chain:
                 chain.append(v.word)
             xi2 = tuple(-(a + b) for a, b in zip(m.apply(w, lam), m.apply(v, lam)))
@@ -189,7 +191,7 @@ def test_lifts_and_pairs_match_matrices(label):
 
 @pytest.mark.parametrize("label", TYPES)
 def test_point_queries_match_matrices(label):
-    # project, quotient from_word, the involution w -> w_o w w_{o,P} and the
+    # projections by from_word, quotient from_word, the involution w -> w_o w w_{o,P} and the
     # per-quotient orbit, on every parabolic subset
     g, m = setting(label)
     n = g.rank
@@ -202,12 +204,14 @@ def test_point_queries_match_matrices(label):
         w_op = max((x for x in g.elements if m.apply(x, rho_p) == rho_p), key=lambda x: x.length)
         s_rho_p = [mat_vec(s, rho_p) for s in m.simple]
         for x in g.elements:
-            assert q.project(x).word == rep_of[m.apply(x, rho_p)].word, (subset, x)
+            assert q.from_word(x.word).word == rep_of[m.apply(x, rho_p)].word, (subset, x)
             for j in range(n):
-                xs_j = rep_of[mat_vec(m.matrix[x.id], s_rho_p[j])]  # x s_j (rho_P)
+                xs_j = rep_of[mat_vec(m.word_matrix(x.word), s_rho_p[j])]  # x s_j (rho_P)
                 assert q.from_word(x.word + (j,)).word == xs_j.word, (subset, x, j)
         for w in q.min_reps:
-            image = mat_mul(mat_mul(m.matrix[w_o.id], m.word_matrix(w.word)), m.matrix[w_op.id])
+            image = mat_mul(
+                mat_mul(m.word_matrix(w_o.word), m.word_matrix(w.word)), m.word_matrix(w_op.word)
+            )
             want = g.elements[m.index[image]]
             assert q.order_reversing_involution(w).word == want.word, (subset, w)
         for mu in [(1,) * n, (3, -1, 2, 0)[:n], rho_p]:

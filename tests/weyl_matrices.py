@@ -4,8 +4,8 @@ matrix-free Weyl layer is checked against.
 An element's matrix on the weight lattice (fundamental-weight basis) is the
 product of simple-reflection matrices along its word, and the reflection
 s_beta is u s_i u^-1 for a positive root beta = u(alpha_i).  Only the Cartan
-matrix, the positive-root coordinates and each element's word and id are
-read from smtkit; every action is computed here.
+matrix, the positive-root coordinates and the words of W's elements, in
+order, are read from smtkit; every action is computed here.
 
 The word helpers at the end (reflection roots, root images, inversions,
 right descents and all reduced words) serve the tests only.
@@ -22,12 +22,13 @@ def mat_vec(m, v):
 
 
 class MatrixOracle:
-    """Action matrices of every element of a WeylGroup, by id.
+    """Action matrices of every element of a WeylGroup, by position k in
+    ``group.elements``.
 
-    ``matrix[id]`` is the element's matrix, ``index`` maps a matrix back to
-    its id, ``simple[i]`` is the matrix of s_i, ``reflection_id[beta]`` is
-    the id of s_beta for a positive root's coordinates, and ``root_of``
-    inverts it.
+    ``pos`` maps an element to k, ``matrix[k]`` is its matrix, ``index``
+    maps a matrix back to k, ``simple[i]`` is the matrix of s_i,
+    ``reflection_id[beta]`` is the k of s_beta for a positive root's
+    coordinates, and ``root_of`` inverts it.
     """
 
     def __init__(self, group):
@@ -43,6 +44,7 @@ class MatrixOracle:
             for i in range(n)
         ]
         self._by_word = {(): tuple(tuple(1 if k == j else 0 for j in range(n)) for k in range(n))}
+        self.pos = {x: k for k, x in enumerate(group.elements)}
         self.matrix = [self.word_matrix(x.word) for x in group.elements]
         self.index = {m: i for i, m in enumerate(self.matrix)}
         assert len(self.index) == len(self.matrix), "two elements share a matrix"
