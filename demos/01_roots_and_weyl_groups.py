@@ -41,10 +41,11 @@ print("\n== Weyl groups and Bruhat order ==")
 rs = build_root_system("A", 2)
 g = WeylGroup(rs)
 print(f"W(A2) has {len(g)} elements:")
-for el in g.elements:
+borel = g.quotient(())
+for el in borel.min_reps:
     print(f"  {format_word(el.word):<10} length {el.length}")
 s1, s2 = g.simple
-print(f"s1 <= s1.s2? {g.leq(s1, g.mul(s1, s2))}")
+print(f"s1 <= s1.s2? {g.leq(s1, borel.from_word(s1.word + s2.word))}")
 print(f"s1 <= s2?    {g.leq(s1, s2)}")
 
 print("\n== parabolic quotients ==")

@@ -52,6 +52,6 @@ for label in ["A2", "A3", "B2", "B3", "C2", "C3", "D4"]:
         neg_xi = Counter(tuple(-c for c in p.weight().coords) for p in pairs)
         char = Counter(demazure_character(rs, g.w_o, lam))
         ok = len(pairs) == dim and neg_xi == char
-        ntriv = sum(1 for p in pairs if not p.is_trivial)
+        ntriv = sum(1 for p in pairs if p.v != p.w)
         print(f"{label} lam={lam.coords}: {len(pairs)} pairs "
           f"({ntriv} non-trivial), dim {dim}, character match {ok}")

@@ -39,7 +39,7 @@ x1 = ctx.posets[0].quotient.from_word(s1.word)
 x2 = ctx.posets[1].quotient.from_word(s2.word)
 f1, f2 = ctx.posets[0].pair(x1, x1), ctx.posets[1].pair(x2, x2)
 on_full = ctx.certify((f1, f2), full)
-on_small = ctx.certify((f1, f2), ctx.pair(g.identity, g.mul(s2, s1)))
+on_small = ctx.certify((f1, f2), ctx.pair(g.identity, ctx.quot.from_word(s2.word + s1.word)))
 print("p[s1]p[s2] standard on G/B:      ", on_full is not None)
 print("p[s1]p[s2] standard on X_{s2.s1}:", on_small is not None,
       "  (yet it does NOT vanish there; see demo 04)")
@@ -47,8 +47,8 @@ print("p[s1]p[s2] standard on X_{s2.s1}:", on_small is not None,
 print("\n== counting on a union of Schubert varieties ==")
 lam = rs.weight((1, 1))
 ctx1 = StandardContext(g, set(), (lam,))
-X = ctx1.pair(g.identity, g.from_word((0, 1)))
-Y = ctx1.pair(g.identity, g.from_word((1, 0)))
+X = ctx1.pair(g.identity, ctx1.quot.from_word((0, 1)))
+Y = ctx1.pair(g.identity, ctx1.quot.from_word((1, 0)))
 union = make_union(ctx1.quot, [X, Y])
 uc = ctx1.count_on_union(union)
 h = lambda w: mass(demazure_character(rs, w, lam))

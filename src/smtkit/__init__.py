@@ -31,26 +31,18 @@ from .rootdata import (
     parse_cartan_type,
     rho,
 )
-from .schubert import (
-    DivisorStep,
-    RichardsonPair,
-    chevalley_multiplicity,
-    extremal_restricts_nonzero,
-    lambda_boundary,
-    moving_root,
-    richardson_contains,
-    schubert_divisors,
-)
+from .schubert import DivisorStep, schubert_divisors
 from .smt import (
+    RichardsonPair,
     StandardContext,
     StandardMonomial,
     make_union,
+    richardson_contains,
 )
 from .weyl import (
     ParabolicQuotient,
     WeylElement,
     WeylGroup,
-    bruhat_leq_subword,
     format_word,
     stabilizer_subset,
 )

@@ -46,10 +46,6 @@ class AdmissiblePair:
             raise AssertionError("pair weight is not integral: divisibility violated")
         object.__setattr__(self, "_weight", Weight(tuple(c // 2 for c in self.xi2)))
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.v == self.w
-
     def weight(self) -> Weight:
         """The T-weight xi with 2 xi = xi2."""
         return self._weight
@@ -86,8 +82,10 @@ class WeightPoset:
             self._double.append(bits)
 
     def is_admissible(self, v: WeylElement, w: WeylElement) -> bool:
-        k = self.quotient.pos.get(v)
-        return k is not None and self._double[self.quotient.pos[w]] >> k & 1 == 1
+        """False unless both are in W^lam and (v, w) is admissible."""
+        pos = self.quotient.pos
+        k, i = pos.get(v), pos.get(w)
+        return k is not None and i is not None and self._double[i] >> k & 1 == 1
 
     def witness_chain(self, v: WeylElement, w: WeylElement) -> tuple[WeylElement, ...]:
         """Lex-least double chain (w, ..., v); empty for a trivial pair."""
@@ -124,22 +122,3 @@ class WeightPoset:
                 out.append(self.pair(reps[low.bit_length() - 1], w))
                 bits ^= low
         return out
-
-    def all_chains_double(self, v: WeylElement, w: WeylElement) -> bool:
-        """Check that EVERY saturated chain of an admissible pair is double.
-
-        W^lam is graded, so every cover (u, child) with u in [v, w] and
-        v <= child lies on a saturated chain from w down to v; the check is
-        that each such cover has multiplicity 2.  This is a theorem-level
-        assertion: a False return would contradict the admissibility
-        equivalence, so callers treat it as a bug detector.
-        """
-        if not self.is_admissible(v, w):
-            raise ValueError("pair is not admissible")
-        leq = self.quotient.leq
-        return all(
-            m == 2
-            for u in self.quotient.interval(v, w)
-            for child, m in self.covers[u]
-            if leq(v, child)
-        )

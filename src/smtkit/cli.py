@@ -169,6 +169,9 @@ def cmd_admissible(args) -> int:
 
 
 def cmd_smt(args) -> int:
+    for flag, text in (("--pair", args.pair), ("--union", args.union)):
+        if text is not None and not text.strip():
+            raise UsageError(f"{flag} is empty")
     if args.union and (args.pair or args.verify_count or args.verify_filtration):
         raise UsageError("--union takes no --pair, --verify-count or --verify-filtration")
     rs = parse_cartan_type(args.type)
@@ -303,7 +306,7 @@ def cmd_straighten(args) -> int:
         r = n = 0
     if not 1 <= r < n:
         raise UsageError(f"--grassmann expects 1 <= r < n, not {args.grassmann!r}")
-    if args.pair and r * (n - r) > 8:
+    if args.pair is not None and r * (n - r) > 8:
         raise UsageError(f"--pair needs r(n-r) <= 8; Gr({r},{n}) is over that desk-scale cap")
     try:
         seeds = tuple(int(s) for s in args.seeds.split(","))
@@ -322,7 +325,7 @@ def cmd_straighten(args) -> int:
     lines: list[str] = []
     payload: dict = {"grassmann": [r, n], "seeds": list(seeds)}
 
-    if args.pair:
+    if args.pair is not None:
         I, J = _parse_pair(args.pair, r, n)
         rel = straighten(I, J, r, n)
         exact = relation_residual(rel) == {}
@@ -377,7 +380,7 @@ def cmd_straighten(args) -> int:
         )
         payload["verify_hodge"] = {"degrees": counts, "schubert": schuberts}
 
-    if not args.pair and not args.verify_hodge:
+    if args.pair is None and not args.verify_hodge:
         raise UsageError("nothing to do: give --pair and/or --verify-hodge")
     _emit(payload, args.json, lines)
     return EXIT_FAIL if failures else EXIT_OK

@@ -19,7 +19,6 @@ from .weyl import WeylElement
 
 __all__ = [
     "Character",
-    "char_monomial",
     "mass",
     "weyl_dim",
     "demazure_apply",
@@ -27,11 +26,6 @@ __all__ = [
 ]
 
 Character = dict[tuple[int, ...], int]
-
-
-def char_monomial(lam: Weight) -> Character:
-    """The character e^lam."""
-    return {lam.coords: 1}
 
 
 def mass(c: Character) -> int:
@@ -103,7 +97,7 @@ def demazure_character_along(rs: RootSystem, word, lam: Weight) -> Character:
     word = tuple(word)
     if _word_inversions(rs, word) != len(word):
         raise ValueError("word is not reduced")
-    c = char_monomial(lam)
+    c = {lam.coords: 1}
     for i in reversed(word):
         c = demazure_apply(rs, i, c)
     return c

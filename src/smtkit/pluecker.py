@@ -476,25 +476,18 @@ def sample_flag_point(word, n: int, rng: random.Random):
     return _group_element_along(word, ts, n)
 
 
-def extremal_minor(g, perm, i: int) -> int:
-    """p_{x(omega_i)} at the flag point: the i x i minor on rows x({1..i}),
-    columns 1..i, where x is given in one-line notation.
-
-    The Laplace table of the i selected rows has 2^i entries, so this is
-    meant for small i, as in the SL(3) flag checks."""
-    (minor,) = _minors([g[a - 1] for a in sorted(perm[:i])], i).values()
-    return minor
-
-
 def flag_monomial_evaluate(g, factors) -> int:
     """Evaluate a product of extremal vectors at a flag point.
 
     factors is an iterable of (perm, i): the extremal vector of the i-th
-    fundamental weight indexed by the class of perm.  Only trivial
-    (extremal) factors have a minor realization here; that is all the
-    SL(3) verification needs.
+    fundamental weight indexed by the class of perm, which at the flag point
+    is p_{x(omega_i)}, the i x i minor on rows x({1..i}) and columns 1..i
+    (perm is x in one-line notation).  Only trivial (extremal) factors have
+    a minor realization here; that is all the SL(3) verification needs.  The
+    Laplace table of the i selected rows has 2^i entries, so i should be small.
     """
     v = 1
     for perm, i in factors:
-        v = v * extremal_minor(g, perm, i) % MERSENNE_PRIME
+        (minor,) = _minors([g[a - 1] for a in sorted(perm[:i])], i).values()
+        v = v * minor % MERSENNE_PRIME
     return v

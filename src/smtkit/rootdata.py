@@ -27,6 +27,7 @@ __all__ = [
     "Weight",
     "RootSystem",
     "build_root_system",
+    "parse_cartan_type",
     "pairing",
     "is_classical_type",
     "rho",
@@ -254,7 +255,7 @@ def is_classical_type(rs: RootSystem, lam: Weight) -> bool:
     """True iff <lam, beta^vee> <= 2 for every positive root beta."""
     if not lam.is_dominant:
         raise ValueError("weight is not dominant")
-    return all(pairing(rs, lam, beta) <= 2 for beta in rs.positive_roots)
+    return max_pairing(rs, lam) <= 2
 
 
 def rho(rs: RootSystem) -> Weight:

@@ -1,4 +1,4 @@
-"""Richardson pairs and boundary/divisor combinatorics on W^P.
+"""Boundary divisors of Schubert varieties in W^P, with their reflection roots.
 
 Covers in a parabolic quotient are length-difference-1 Bruhat relations
 between minimal representatives; such a relation is always a cover in the
@@ -8,47 +8,21 @@ beta = -w^{-1}(gamma), so that v = w s_beta; it is folded along w's word on
 root coordinates.  A covering step that fails to produce a positive root is
 a hard error, never silently repaired.
 
-Boundaries are plain lists of divisor children; no geometry is represented
-beyond the poset data that downstream counting needs.
+Richardson pairs live in ``smt``; the Chevalley multiplicities, moving
+roots and other Schubert lemmas that only the tests state live in
+``tests/schubert_reference.py``.  This module keeps ``schubert_divisors``
+alone because the benchmark tracer (``smtbench/tracing.py``) patches it; it
+goes with ROADMAP item 9, the benchmark change that drops that counter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rootdata import Root, Weight, pairing
+from .rootdata import Root
 from .weyl import ParabolicQuotient, WeylElement
 
-__all__ = [
-    "RichardsonPair",
-    "DivisorStep",
-    "schubert_divisors",
-    "chevalley_multiplicity",
-    "lambda_boundary",
-    "moving_root",
-    "richardson_contains",
-    "extremal_restricts_nonzero",
-]
-
-
-@dataclass(frozen=True)
-class RichardsonPair:
-    """A pair (v, w) in W^P with v <= w, indexing the intersection X_w ^ X^v."""
-
-    v: WeylElement
-    w: WeylElement
-
-    @property
-    def dimension(self) -> int:
-        return self.w.length - self.v.length
-
-
-def make_pair(quot: ParabolicQuotient, v: WeylElement, w: WeylElement) -> RichardsonPair:
-    if v not in quot or w not in quot:
-        raise ValueError("pair members must be minimal coset representatives")
-    if not quot.leq(v, w):
-        raise ValueError("empty Richardson pair: v is not below w")
-    return RichardsonPair(v, w)
+__all__ = ["DivisorStep", "schubert_divisors"]
 
 
 @dataclass(frozen=True)
@@ -85,69 +59,3 @@ def schubert_divisors(quot: ParabolicQuotient, w: WeylElement) -> list[DivisorSt
         DivisorStep(parent=w, child=v, beta=_cover_root(rs, w, gamma))
         for v, gamma in quot.cover_roots(w).items()
     ]
-
-
-def is_cover(quot: ParabolicQuotient, v: WeylElement, w: WeylElement) -> bool:
-    return v.length == w.length - 1 and quot.leq(v, w)
-
-
-def chevalley_multiplicity(
-    quot_lam: ParabolicQuotient, v: WeylElement, w: WeylElement, lam: Weight
-) -> int:
-    """m_lam(v, w) = <lam, beta^vee> where v = w s_beta covers in W^lam."""
-    if not is_cover(quot_lam, v, w):
-        raise ValueError("(v, w) is not a covering pair")
-    rs = quot_lam.group.rs
-    return pairing(rs, lam, _cover_root(rs, w, quot_lam.cover_roots(w)[v]))
-
-
-def lambda_boundary(
-    quot: ParabolicQuotient, w: WeylElement, lam: Weight
-) -> list[DivisorStep]:
-    """The divisors of the lambda-boundary: those with <lam, beta^vee> > 0.
-
-    Equals all of the boundary exactly when lam is P-regular.
-    """
-    rs = quot.group.rs
-    lam = rs.weight(lam.coords)  # rejects the wrong number of coordinates
-    if not lam.is_dominant:
-        raise ValueError("weight is not dominant")
-    if any(lam.coords[i] != 0 for i in quot.subset):
-        raise ValueError("weight is not a character of P")
-    out = []
-    for step in schubert_divisors(quot, w):
-        m = pairing(rs, lam, step.beta)
-        if m > 0:
-            out.append(DivisorStep(step.parent, step.child, step.beta, m))
-    return out
-
-
-def moving_root(quot_lam: ParabolicQuotient, v: WeylElement, w: WeylElement) -> Root | None:
-    """The simple alpha with v = s_alpha w, if the divisor is moving, else None."""
-    if not is_cover(quot_lam, v, w):
-        raise ValueError("(v, w) is not a covering pair")
-    gamma = quot_lam.cover_roots(w)[v]  # v = s_gamma w
-    return gamma if gamma.height == 1 else None
-
-
-def richardson_contains(
-    quot: ParabolicQuotient, outer: RichardsonPair, inner: RichardsonPair
-) -> bool:
-    """Containment of T-fixed-point intervals: v <= x and y <= w."""
-    return quot.leq(outer.v, inner.v) and quot.leq(inner.w, outer.w)
-
-
-def extremal_restricts_nonzero(
-    quot_p: ParabolicQuotient,
-    quot_lam: ParabolicQuotient,
-    x_class: WeylElement,
-    pair: RichardsonPair,
-) -> bool:
-    """Whether the extremal section indexed by x_class survives on the pair.
-
-    True iff some lift x in W^P of x_class satisfies v <= x <= w.
-    """
-    return any(
-        quot_p.leq(pair.v, x) and quot_p.leq(x, pair.w)
-        for x in quot_p.lifts(quot_lam).get(x_class, ())
-    )

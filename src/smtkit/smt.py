@@ -21,12 +21,15 @@ indices, which is the order of the cartesian product of the pair lists;
 ``certify`` walks one pair per factor.
 
 Standardness is order-sensitive: the factor for lam_1 is the top of the
-chain.  A union of Richardson pairs is the tuple of its irredundant
-components (``make_union``).  Counting on it takes "standard on some
-component" verbatim; pairwise intersections are expanded inside the poset
-W^P as unions of pairs (maximal lower bounds of the w's against minimal
-upper bounds of the v's), which is what makes the inclusion-exclusion
-identity checkable for two components.
+chain.  A Richardson pair (v, w) indexes X_w ^ X^v; one pair contains
+another when their T-fixed-point intervals nest (``richardson_contains``).
+A union of Richardson pairs is the tuple of its irredundant components
+(``make_union``), dropping each component that another contains.
+Counting on it takes "standard on some component" verbatim; pairwise
+intersections are expanded inside the poset W^P as unions of pairs
+(maximal lower bounds of the w's against minimal upper bounds of the v's),
+which is what makes the inclusion-exclusion identity checkable for two
+components.
 """
 
 from __future__ import annotations
@@ -35,15 +38,40 @@ from dataclasses import dataclass
 
 from .admissible import AdmissiblePair, WeightPoset
 from .rootdata import Weight
-from .schubert import RichardsonPair, make_pair
 from .weyl import ParabolicQuotient, WeylElement, WeylGroup
 
 __all__ = [
+    "RichardsonPair",
+    "make_pair",
+    "richardson_contains",
     "StandardMonomial",
     "StandardContext",
     "UnionCount",
     "make_union",
 ]
+
+
+@dataclass(frozen=True)
+class RichardsonPair:
+    """A pair (v, w) in W^P with v <= w, indexing the intersection X_w ^ X^v."""
+
+    v: WeylElement
+    w: WeylElement
+
+
+def make_pair(quot: ParabolicQuotient, v: WeylElement, w: WeylElement) -> RichardsonPair:
+    if v not in quot or w not in quot:
+        raise ValueError("pair members must be minimal coset representatives")
+    if not quot.leq(v, w):
+        raise ValueError("empty Richardson pair: v is not below w")
+    return RichardsonPair(v, w)
+
+
+def richardson_contains(
+    quot: ParabolicQuotient, outer: RichardsonPair, inner: RichardsonPair
+) -> bool:
+    """Containment of T-fixed-point intervals: v <= x and y <= w."""
+    return quot.leq(outer.v, inner.v) and quot.leq(inner.w, outer.w)
 
 
 @dataclass(frozen=True)
@@ -62,15 +90,11 @@ def make_union(quot: ParabolicQuotient, components) -> tuple[RichardsonPair, ...
     """An irredundant union of Richardson pairs: the components kept after
     dropping duplicates and components contained in another."""
     comps = list(dict.fromkeys(components))
-    kept = [
+    return tuple(
         c
         for i, c in enumerate(comps)
-        if not any(
-            j != i and quot.leq(comps[j].v, c.v) and quot.leq(c.w, comps[j].w)
-            for j in range(len(comps))
-        )
-    ]
-    return tuple(kept)
+        if not any(j != i and richardson_contains(quot, d, c) for j, d in enumerate(comps))
+    )
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,11 @@ by their point x(rho_lam) in a coarser quotient; ``orbit`` steps along the
 parent chain; and the order-reversing involution is w_o(x(rho_P)).  A quotient costs O(|W^P|), never O(|W|).
 
 ``WeylGroup`` is a cheap handle on the root system: the identity, the simple
-reflections and w_o, whose word is peeled off the point -rho.  Its element
-list is the run of the Borel quotient, made only when a caller asks for all
-of W, and ``WeylGroup.quotient`` shares one quotient per subset among
-the callers that hold it.  ``order_cap`` bounds the size of every run.
+reflections and w_o, whose word is peeled off the point -rho.  All of W is
+the Borel quotient ``group.quotient(())`` (its ``min_reps``, ``from_word``
+and ``leq``), made only when a caller asks for it, and
+``WeylGroup.quotient`` shares one quotient per subset among the callers
+that hold it.  ``order_cap`` bounds the size of every run.
 
 Bruhat order is read off the same points.  For a positive root gamma with
 c = <y(rho_P), gamma^vee> < 0, the point y(rho_P) - c gamma names the coset
@@ -30,14 +31,14 @@ of s_gamma y; when its representative has length l(y) - 1 it is the lower
 cover s_gamma y itself, and every cover arises this way.  Each cover keeps
 its left root gamma.  W^P is graded, so the order ideal below y is bit(y)
 OR the ideals of its covers: one Python int per element, built bottom-up on
-first use, and ``leq`` is a single bit test.  The exponential subword test
-is kept alongside as an independent cross-check for the test suite.
+first use, and ``leq`` is a single bit test; the test suite checks it
+against the exponential subword test in ``tests/schubert_reference.py``.
+Minimal upper bounds are the involution's image of maximal lower bounds.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import weakref
 
 from .rootdata import Root, RootSystem, Weight
@@ -46,7 +47,6 @@ __all__ = [
     "WeylElement",
     "WeylGroup",
     "ParabolicQuotient",
-    "bruhat_leq_subword",
     "stabilizer_subset",
     "format_word",
     "DEFAULT_ORDER_CAP",
@@ -122,9 +122,8 @@ def _least_descent(mu: tuple[int, ...]) -> int | None:
 
 class WeylGroup:
     """A finite Weyl group: a handle on its root system holding the identity,
-    the simple reflections and w_o.  The element list, ``len``, ``leq``,
-    ``from_word`` and ``mul`` build all of W (the Borel quotient) on first
-    use."""
+    the simple reflections and w_o.  ``len`` and ``leq`` build all of W (the
+    Borel quotient) on first use; its elements are ``quotient(()).min_reps``."""
 
     def __init__(self, rs: RootSystem, order_cap: int = DEFAULT_ORDER_CAP):
         self.rs = rs
@@ -158,34 +157,12 @@ class WeylGroup:
     def _borel(self) -> ParabolicQuotient:
         return self.quotient(())
 
-    @property
-    def elements(self) -> tuple[WeylElement, ...]:
-        """All of W in shortlex order, the order of ``quotient(()).pos``."""
-        return self._borel.min_reps
-
     def __len__(self) -> int:
         return len(self._borel)
-
-    def from_word(self, word) -> WeylElement:
-        return self._borel.from_word(word)
-
-    def mul(self, x: WeylElement, y: WeylElement) -> WeylElement:
-        return self.from_word(x.word + y.word)
 
     def leq(self, x: WeylElement, y: WeylElement) -> bool:
         """Bruhat order: the bitset test of the Borel quotient."""
         return self._borel.leq(x, y)
-
-
-def bruhat_leq_subword(group: WeylGroup, x: WeylElement, y: WeylElement) -> bool:
-    """Independent subword-property oracle (exhaustive, exponential in l(y))."""
-    k = x.length
-    if k > y.length:
-        return False
-    for positions in itertools.combinations(range(y.length), k):
-        if group.from_word(y.word[p] for p in positions) == x:
-            return True
-    return False
 
 
 class ParabolicQuotient:
@@ -337,9 +314,13 @@ class ParabolicQuotient:
         return [z for z in common if not any(z2 is not z and leq(z, z2) for z2 in common)]
 
     def min_upper_bounds(self, xs) -> list[WeylElement]:
-        leq = self.leq
-        common = [z for z in self.min_reps if all(leq(x, z) for x in xs)]
-        return [z for z in common if not any(z2 is not z and leq(z2, z) for z2 in common)]
+        """iota(max_lower_bounds(iota(xs))) for the order-reversing iota, in
+        the order of ``min_reps``."""
+        iota = self.order_reversing_involution
+        return sorted(
+            (iota(z) for z in self.max_lower_bounds([iota(x) for x in xs])),
+            key=self.pos.__getitem__,
+        )
 
 
 def stabilizer_subset(rs: RootSystem, lam: Weight) -> frozenset[int]:

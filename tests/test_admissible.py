@@ -5,8 +5,9 @@ import pytest
 from smtkit.admissible import AdmissiblePair, WeightPoset
 from smtkit.oracle import demazure_character, weyl_dim
 from smtkit.rootdata import build_root_system
-from smtkit.schubert import chevalley_multiplicity, schubert_divisors
+from smtkit.schubert import schubert_divisors
 from smtkit.weyl import WeylGroup
+from schubert_reference import all_chains_double, chevalley_multiplicity
 from weyl_matrices import MatrixOracle
 
 from test_schubert import classical_weights  # shared sweep helper
@@ -46,7 +47,7 @@ def test_minuscule_a2_only_trivial_pairs():
     g = WeylGroup(rs)
     pairs = WeightPoset(g, rs.fundamental_weight(0)).pairs()
     assert len(pairs) == 3 == weyl_dim(rs, rs.fundamental_weight(0))
-    assert all(p.is_trivial for p in pairs)
+    assert all(p.v == p.w for p in pairs)
     assert all(p.double_chain == () for p in pairs)
 
 
@@ -56,7 +57,7 @@ def test_c2_omega2_has_one_nontrivial_pair():
     lam = rs.fundamental_weight(1)
     pairs = WeightPoset(g, lam).pairs()
     assert len(pairs) == 5 == weyl_dim(rs, lam)
-    nontrivial = [p for p in pairs if not p.is_trivial]
+    nontrivial = [p for p in pairs if p.v != p.w]
     assert len(nontrivial) == 1
     (p,) = nontrivial
     assert len(p.double_chain) == 2
@@ -70,7 +71,7 @@ def test_b3_spin_all_trivial():
     g = WeylGroup(rs)
     pairs = WeightPoset(g, rs.fundamental_weight(2)).pairs()
     assert len(pairs) == 8 == weyl_dim(rs, rs.fundamental_weight(2))
-    assert all(p.is_trivial for p in pairs)
+    assert all(p.v == p.w for p in pairs)
 
 
 def test_is_admissible_examples():
@@ -90,7 +91,7 @@ def test_is_admissible_examples():
             if v != w and pos_min.quotient.leq(v, w):
                 assert not pos_min.is_admissible(v, w)
     # the C2 nontrivial pair comes with an explicit length-2 chain
-    nontrivial = [p for p in poset.pairs() if not p.is_trivial][0]
+    nontrivial = [p for p in poset.pairs() if p.v != p.w][0]
     ok = poset.is_admissible(nontrivial.v, nontrivial.w)
     chain = poset.witness_chain(nontrivial.v, nontrivial.w)
     assert ok and len(chain) == 2
@@ -110,7 +111,7 @@ def test_all_chains_double_everywhere(label):
     for lam in classical_weights(rs):
         poset = WeightPoset(g, lam)
         for p in poset.pairs():
-            assert poset.all_chains_double(p.v, p.w)
+            assert all_chains_double(poset, p.v, p.w)
 
 
 @pytest.mark.parametrize("label", ["A2", "A3", "B2", "B3", "C2", "C3"])
@@ -121,7 +122,7 @@ def test_double_divisor_necessity(label):
     for lam in classical_weights(rs):
         poset = WeightPoset(g, lam)
         for p in poset.pairs():
-            if p.is_trivial:
+            if p.v == p.w:
                 continue
             for child, mult in poset.covers[p.w]:
                 if poset.quotient.leq(p.v, child):
@@ -134,7 +135,7 @@ def test_weight_of_trivial_pair_is_negated_extremal():
     lam = rs.fundamental_weight(1)
     oracle = MatrixOracle(g)
     for p in WeightPoset(g, lam).pairs():
-        if p.is_trivial:
+        if p.v == p.w:
             assert p.weight().coords == tuple(-c for c in oracle.apply(p.w, lam.coords))
 
 
@@ -195,7 +196,7 @@ def test_witness_chain_is_lex_least():
     lam = rs.fundamental_weight(1)
     poset = WeightPoset(g, lam)
     for p in poset.pairs():
-        if p.is_trivial:
+        if p.v == p.w:
             continue
         all_double = double_chains(poset, p.v, p.w)
         key = lambda ch: tuple((x.length, x.word) for x in ch)
@@ -233,7 +234,7 @@ def test_all_chains_double_matches_exhaustive_chains(label):
         for p in poset.pairs():
             chains = list(saturated_chains(poset, p.v, p.w))
             assert chains and all(is_double(poset, ch) for ch in chains), (lam, p)
-            assert poset.all_chains_double(p.v, p.w), (lam, p)
+            assert all_chains_double(poset, p.v, p.w), (lam, p)
 
 
 @pytest.mark.parametrize("label", ["A3", "B3", "C3", "D4"])
@@ -248,7 +249,7 @@ def test_all_chains_double_sees_every_chain_cover(label):
             for a, b in steps:
                 saved = poset.covers[a]
                 poset.covers[a] = [(c, 1 if c == b else m) for c, m in saved]
-                assert not poset.all_chains_double(p.v, p.w), (lam, p, a, b)
+                assert not all_chains_double(poset, p.v, p.w), (lam, p, a, b)
                 poset.covers[a] = saved
 
 
@@ -270,6 +271,14 @@ def test_is_admissible_is_false_off_the_quotient():
     assert s1 not in poset.quotient
     for w in poset.quotient.min_reps:
         assert poset.is_admissible(s1, w) is False
+    # and w off the quotient: on A2 omega_1, s1.s2 is not in W^lam
+    a2 = build_root_system("A", 2)
+    ga = WeylGroup(a2)
+    pos_a2 = WeightPoset(ga, a2.fundamental_weight(0))
+    s1s2 = ga.quotient(()).from_word((0, 1))
+    assert s1s2 not in pos_a2.quotient
+    for v in pos_a2.quotient.min_reps:
+        assert pos_a2.is_admissible(v, s1s2) is False
 
 
 def test_pair_weight_is_checked_on_construction():

@@ -91,7 +91,8 @@ def test_smt_union(capsys):
 
 def test_smt_union_refuses_pair_checks(capsys, monkeypatch):
     # the count and filtration checks read a --pair; asked of a --union
-    # they are a usage error, raised before anything is enumerated
+    # they are a usage error, raised before anything is enumerated.  An
+    # empty --union is refused too, not taken for the default --pair.
     import smtkit.cli as cli
 
     def no_enumeration(*args, **kwargs):
@@ -99,15 +100,16 @@ def test_smt_union_refuses_pair_checks(capsys, monkeypatch):
 
     monkeypatch.setattr(cli.StandardContext, "enumerate", no_enumeration)
     monkeypatch.setattr(cli.StandardContext, "count_on_union", no_enumeration)
-    for flags in (["--verify-count"], ["--verify-filtration"], ["--verify-count", "--verify-filtration"]):
-        code, out, err = run(
-            capsys,
-            "smt", "--type", "A2", "--weights", "1,1",
-            "--union", "e:s1.s2+e:s2.s1", *flags,
-        )
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and "--union" in err
+    for union in ("e:s1.s2+e:s2.s1", ""):
+        for flags in (["--verify-count"], ["--verify-filtration"], ["--verify-count", "--verify-filtration"]):
+            code, out, err = run(
+                capsys,
+                "smt", "--type", "A2", "--weights", "1,1",
+                "--union", union, *flags,
+            )
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and "--union" in err
 
 
 @pytest.mark.parametrize("pair", ["s1:s1", "e:w0"])
@@ -147,13 +149,15 @@ def test_bad_seeds_are_a_usage_error_naming_the_flag(capsys, seeds, task):
     assert "--seeds" in err and "invalid literal" not in err
 
 
-# an entry out of 1..4 and an index of three entries parse, but Gr(2,4) refuses them
-@pytest.mark.parametrize("pair", ["1x,23", "1.x,23", ",23", "15,23", "123,23"])
+# an entry out of 1..4 and an index of three entries parse, but Gr(2,4)
+# refuses them; an empty --pair is refused, not ignored
+@pytest.mark.parametrize("pair", ["1x,23", "1.x,23", ",23", "15,23", "123,23", pytest.param("", id="empty")])
 def test_bad_pair_is_a_usage_error_naming_the_flag(capsys, pair):
-    code, out, err = run(capsys, "straighten", "--grassmann", "2,4", "--pair", pair)
-    assert code == 2
-    assert out == ""
-    assert "--pair" in err and repr(pair) in err and "invalid literal" not in err
+    for task in ([], ["--verify-hodge"]):
+        code, out, err = run(capsys, "straighten", "--grassmann", "2,4", "--pair", pair, *task)
+        assert code == 2
+        assert out == ""
+        assert "--pair" in err and repr(pair) in err and "invalid literal" not in err
 
 
 def test_straighten_verify_hodge(capsys):
@@ -208,6 +212,11 @@ def test_usage_errors(capsys):
     assert "2520" in err and "cap" in err
     code, _, err = run(capsys, "smt", "--type", "A2", "--weights", "1,0,0", "--pair", "e:w0")
     assert code == 2
+    # an empty --pair or --union is refused, not read as the default pair
+    for flag in ("--pair", "--union"):
+        code, out, err = run(capsys, "smt", "--type", "A2", "--weights", "1,0", flag, "")
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} is empty\n"
 
 
 def test_hodge_chain_cap_admits_gr36_degree2(capsys):

@@ -1,9 +1,10 @@
 """Differential tests of the lift table against an exhaustive scan.
 
 ``ParabolicQuotient.lifts`` backs both ``StandardContext.min_lift_above``
-and ``extremal_restricts_nonzero``.  Here each answer is recomputed by
-projecting every member of W^P, the scan the table replaced, and the least
-lift above a bound by scanning for the lift below all the others.
+and the test reference ``extremal_restricts_nonzero``.  Here each answer is
+recomputed by projecting every member of W^P, the scan the table replaced,
+and the least lift above a bound by scanning for the lift below all the
+others.
 """
 
 import itertools
@@ -11,9 +12,9 @@ import itertools
 import pytest
 
 from smtkit.rootdata import build_root_system
-from smtkit.schubert import extremal_restricts_nonzero, make_pair
-from smtkit.smt import StandardContext
+from smtkit.smt import StandardContext, make_pair
 from smtkit.weyl import ParabolicQuotient, WeylGroup, stabilizer_subset
+from schubert_reference import extremal_restricts_nonzero
 
 from test_schubert import classical_weights  # shared sweep helper
 from test_weyl import extremal_scan

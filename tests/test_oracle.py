@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smtkit.oracle import (
-    char_monomial,
     demazure_apply,
     demazure_character,
     demazure_character_along,
@@ -65,7 +64,7 @@ def test_demazure_idempotent(c, i):
 def test_demazure_character_anchors():
     g = WeylGroup(A2)
     lam = A2.fundamental_weight(0)
-    assert demazure_character(A2, g.identity, lam) == char_monomial(lam)
+    assert demazure_character(A2, g.identity, lam) == {lam.coords: 1}
     assert demazure_character(A2, g.simple[0], lam) == {(1, 0): 1, (-1, 1): 1}
     full = demazure_character(A2, g.w_o, lam)
     assert mass(full) == 3
@@ -85,7 +84,7 @@ def test_reduced_word_independence():
     for rs in (A2, C2):
         g = WeylGroup(rs)
         lam = rs.weight((1,) * rs.rank)
-        for el in g.elements:
+        for el in g.quotient(()).min_reps:
             results = {
                 tuple(sorted(demazure_character_along(rs, w, lam).items()))
                 for w in reduced_words(g, el)
@@ -116,8 +115,9 @@ def test_mass_monotone_along_covers():
     for rs in (A2, C2):
         g = WeylGroup(rs)
         lam = rs.weight((1,) * rs.rank)
-        masses = {w: mass(demazure_character(rs, w, lam)) for w in g.elements}
-        for w in g.elements:
-            for v in g.elements:
+        elements = g.quotient(()).min_reps
+        masses = {w: mass(demazure_character(rs, w, lam)) for w in elements}
+        for w in elements:
+            for v in elements:
                 if v.length == w.length - 1 and g.leq(v, w):
                     assert masses[v] <= masses[w]

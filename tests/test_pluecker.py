@@ -12,7 +12,6 @@ from smtkit.pluecker import (
     PointSample,
     RankReport,
     all_indices,
-    extremal_minor,
     flag_monomial_evaluate,
     index_leq,
     perm_from_word,
@@ -439,7 +438,8 @@ def test_extremal_minor_equals_gaussian_minor():
             g = sample_flag_point(_reduced_word_of_perm(perm), n, rng)
             for i in range(n + 1):
                 sub = [g[a - 1][:i] for a in sorted(perm[:i])]
-                assert extremal_minor(g, perm, i) == _oracle_det_mod(sub, MERSENNE_PRIME)
+                got = flag_monomial_evaluate(g, [(perm, i)])
+                assert got == _oracle_det_mod(sub, MERSENNE_PRIME)
 
 
 # sha256 of repr((r, n, I, J, rhs)) over the non-standard pairs of each

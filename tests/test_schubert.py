@@ -1,18 +1,16 @@
 import pytest
 
 from smtkit.rootdata import Weight, build_root_system, is_classical_type, pairing
-from smtkit.schubert import (
-    RichardsonPair,
+from smtkit.schubert import schubert_divisors
+from smtkit.smt import make_pair, richardson_contains
+from smtkit.weyl import ParabolicQuotient, WeylGroup, stabilizer_subset
+from schubert_reference import (
     chevalley_multiplicity,
     extremal_restricts_nonzero,
     is_cover,
     lambda_boundary,
-    make_pair,
     moving_root,
-    richardson_contains,
-    schubert_divisors,
 )
-from smtkit.weyl import ParabolicQuotient, WeylGroup, stabilizer_subset
 from weyl_matrices import MatrixOracle
 
 
@@ -56,7 +54,7 @@ def test_divisors_of_identity_empty():
 
 def test_divisors_a2():
     s1, s2 = GA2.simple
-    children = {d.child for d in schubert_divisors(QB, GA2.mul(s1, s2))}
+    children = {d.child for d in schubert_divisors(QB, QB.from_word(s1.word + s2.word))}
     assert children == {s1, s2}
     assert len(schubert_divisors(QB, GA2.w_o)) == 2
 
@@ -65,12 +63,13 @@ def test_divisor_roots_recover_cover():
     for label in ["A2", "B2", "C2"]:
         rs = build_root_system(label[0], int(label[1]))
         g = WeylGroup(rs)
+        borel = g.quotient(())
         m = MatrixOracle(g)
         for subset in [set(), {0}]:
             q = ParabolicQuotient(g, subset)
             for v, w, beta in covering_pairs(q):
-                s_beta = g.elements[m.reflection_id[beta.coords]]
-                assert g.mul(w, s_beta) == v
+                s_beta = borel.min_reps[m.reflection_id[beta.coords]]
+                assert borel.from_word(w.word + s_beta.word) == v
 
 
 def test_chevalley_minuscule_always_one():
@@ -110,12 +109,12 @@ def test_moving_root_rejects_non_cover():
     with pytest.raises(ValueError):
         moving_root(QB, GA2.identity, GA2.w_o)
     s1, s2 = GA2.simple
-    assert moving_root(QB, s2, GA2.mul(s1, s2)) == A2.simple_roots[0]
+    assert moving_root(QB, s2, QB.from_word(s1.word + s2.word)) == A2.simple_roots[0]
 
 
 def test_lambda_boundary_vs_divisors():
     lam_reg = A2.weight((1, 1))
-    for w in GA2.elements:
+    for w in QB.min_reps:
         sd = {d.child for d in schubert_divisors(QB, w)}
         lb = {d.child for d in lambda_boundary(QB, w, lam_reg)}
         assert lb == sd  # regular weight: boundary equals the full divisor set
@@ -123,7 +122,7 @@ def test_lambda_boundary_vs_divisors():
     # non-regular weight: contained, and strict somewhere
     lam = A2.fundamental_weight(0)
     strict = False
-    for w in GA2.elements:
+    for w in QB.min_reps:
         sd = {d.child for d in schubert_divisors(QB, w)}
         lb = {d.child for d in lambda_boundary(QB, w, lam)}
         assert lb <= sd
@@ -177,6 +176,7 @@ def test_moving_divisor_dichotomy(label):
     # moving divisor v = s_alpha w: every u <= w satisfies u <= v or s_alpha u <= v
     rs = build_root_system(label[0], int(label[1]))
     g = WeylGroup(rs)
+    borel = g.quotient(())
     m = MatrixOracle(g)
     for lam in classical_weights(rs):
         q = lambda_quotient(rs, g, lam)
@@ -184,10 +184,10 @@ def test_moving_divisor_dichotomy(label):
             alpha = moving_root(q, v, w)
             if alpha is None:
                 continue
-            s_alpha = g.elements[m.reflection_id[alpha.coords]]
+            s_alpha = borel.min_reps[m.reflection_id[alpha.coords]]
             for u in q.min_reps:
                 if q.leq(u, w):
-                    su = q.from_word(g.mul(s_alpha, u).word)
+                    su = q.from_word(s_alpha.word + u.word)
                     assert q.leq(u, v) or q.leq(su, v)
 
 
@@ -197,6 +197,7 @@ def test_multiplicity_transport(label):
     # v with the same Chevalley multiplicity
     rs = build_root_system(label[0], int(label[1]))
     g = WeylGroup(rs)
+    borel = g.quotient(())
     m = MatrixOracle(g)
     for lam in classical_weights(rs):
         q = lambda_quotient(rs, g, lam)
@@ -204,12 +205,12 @@ def test_multiplicity_transport(label):
             alpha = moving_root(q, v, w)
             if alpha is None:
                 continue
-            s_alpha = g.elements[m.reflection_id[alpha.coords]]
+            s_alpha = borel.min_reps[m.reflection_id[alpha.coords]]
             for step in schubert_divisors(q, w):
                 u = step.child
                 if u == v:
                     continue
-                su = g.mul(s_alpha, u)
+                su = borel.from_word(s_alpha.word + u.word)
                 assert su in q.pos, "transported divisor left the quotient"
                 assert is_cover(q, su, v)
                 assert chevalley_multiplicity(q, su, v, lam) == chevalley_multiplicity(
@@ -224,8 +225,8 @@ def test_richardson_contains_basics():
     assert richardson_contains(QB, full, point)
     assert richardson_contains(QB, point, point)
     assert not richardson_contains(QB, point, full)
-    for v in GA2.elements:
-        for w in GA2.elements:
+    for v in QB.min_reps:
+        for w in QB.min_reps:
             if QB.leq(v, w):
                 assert richardson_contains(QB, full, make_pair(QB, v, w))
 
@@ -240,8 +241,8 @@ def test_containment_matches_fixed_point_sets_exhaustively():
     # containment of pairs agrees with nesting of their fixed-point intervals
     pairs = [
         make_pair(QB, v, w)
-        for v in GA2.elements
-        for w in GA2.elements
+        for v in QB.min_reps
+        for w in QB.min_reps
         if QB.leq(v, w)
     ]
     for outer in pairs:
@@ -255,18 +256,18 @@ def test_extremal_restriction_truth_table():
     lam = A2.fundamental_weight(0)
     ql = lambda_quotient(A2, GA2, lam)
     for x_class in ql.min_reps:
-        for v in GA2.elements:
-            for w in GA2.elements:
+        for v in QB.min_reps:
+            for w in QB.min_reps:
                 if not QB.leq(v, w):
                     continue
                 pair = make_pair(QB, v, w)
                 expected = any(
                     ql.from_word(x.word) == x_class and QB.leq(v, x) and QB.leq(x, w)
-                    for x in GA2.elements
+                    for x in QB.min_reps
                 )
                 assert extremal_restricts_nonzero(QB, ql, x_class, pair) == expected
     # the lift w(lam) of the top always works
-    for w in GA2.elements:
+    for w in QB.min_reps:
         pair = make_pair(QB, GA2.identity, w)
         assert extremal_restricts_nonzero(QB, ql, ql.from_word(w.word), pair)
 
@@ -274,9 +275,9 @@ def test_extremal_restriction_truth_table():
 def test_extremal_restriction_regular_weight():
     # regular weight: the lift is unique, so the predicate is v <= x <= w
     q_reg = lambda_quotient(A2, GA2, A2.weight((1, 1)))
-    for x in GA2.elements:
-        for v in GA2.elements:
-            for w in GA2.elements:
+    for x in QB.min_reps:
+        for v in QB.min_reps:
+            for w in QB.min_reps:
                 if QB.leq(v, w):
                     pair = make_pair(QB, v, w)
                     assert extremal_restricts_nonzero(QB, q_reg, x, pair) == (
@@ -289,7 +290,7 @@ def test_image_of_richardson_need_not_be_richardson():
     # image in the omega_1 quotient are the classes of {s2, s2s1}, which is
     # not an interval of the quotient poset.
     s1, s2 = GA2.simple
-    w = GA2.mul(s2, s1)
+    w = QB.from_word(s2.word + s1.word)
     pair = make_pair(QB, s2, w)
     lam = A2.fundamental_weight(0)
     ql = lambda_quotient(A2, GA2, lam)

@@ -13,8 +13,7 @@ import itertools
 import pytest
 
 from smtkit.rootdata import Weight, build_root_system
-from smtkit.schubert import RichardsonPair
-from smtkit.smt import StandardContext
+from smtkit.smt import RichardsonPair, StandardContext
 from smtkit.weyl import WeylGroup
 
 

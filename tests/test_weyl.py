@@ -5,11 +5,11 @@ from smtkit.smt import StandardContext
 from smtkit.weyl import (
     ParabolicQuotient,
     WeylGroup,
-    bruhat_leq_subword,
     format_word,
     parse_word,
     stabilizer_subset,
 )
+from schubert_reference import bruhat_leq_subword
 from weyl_matrices import MatrixOracle, inversions, mat_mul, reduced_words
 
 ORDERS = {("A", 1): 2, ("A", 2): 6, ("A", 3): 24, ("B", 2): 8, ("C", 2): 8, ("B", 3): 48}
@@ -19,7 +19,7 @@ ORDERS = {("A", 1): 2, ("A", 2): 6, ("A", 3): 24, ("B", 2): 8, ("C", 2): 8, ("B"
 def test_group_orders(family, rank):
     g = WeylGroup(build_root_system(family, rank))
     assert len(g) == ORDERS[(family, rank)]
-    assert g.elements[0] is g.identity
+    assert g.quotient(()).min_reps[0] is g.identity
 
 
 def test_order_cap():
@@ -30,14 +30,15 @@ def test_order_cap():
 def test_length_is_inversion_count():
     for label in ["A3", "C2", "B3"]:
         g = WeylGroup(build_root_system(label[0], int(label[1])))
-        for el in g.elements:
+        for el in g.quotient(()).min_reps:
             assert el.length == inversions(g, el)
 
 
 def test_canonical_words_multiply_out_and_are_lex_least():
     g = WeylGroup(build_root_system("B", 2))
-    for el in g.elements:
-        assert g.from_word(el.word) == el
+    borel = g.quotient(())
+    for el in borel.min_reps:
+        assert borel.from_word(el.word) == el
         assert len(el.word) == el.length
         assert el.word == min(reduced_words(g, el))
 
@@ -46,25 +47,28 @@ def test_longest_element():
     for label in ["A2", "C2", "B3"]:
         rs = build_root_system(label[0], int(label[1]))
         g = WeylGroup(rs)
+        borel = g.quotient(())
         assert g.w_o.length == len(rs.positive_roots)
-        assert g.mul(g.w_o, g.w_o) == g.identity
-        assert all(g.leq(x, g.w_o) for x in g.elements)
+        assert borel.from_word(g.w_o.word + g.w_o.word) == g.identity
+        assert all(g.leq(x, g.w_o) for x in borel.min_reps)
 
 
 def test_bruhat_basics():
     g = WeylGroup(build_root_system("A", 2))
     s1, s2 = g.simple
-    for w in g.elements:
+    borel = g.quotient(())
+    for w in borel.min_reps:
         assert g.leq(g.identity, w)
-    assert g.leq(s1, g.mul(s1, s2))
+    assert g.leq(s1, borel.from_word(s1.word + s2.word))
     assert not g.leq(s1, s2)
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "B2", "A3", "B3", "C3"])
 def test_bruhat_matches_subword_oracle(label):
     g = WeylGroup(build_root_system(label[0], int(label[1])))
-    for x in g.elements:
-        for y in g.elements:
+    elements = g.quotient(()).min_reps
+    for x in elements:
+        for y in elements:
             assert g.leq(x, y) == bruhat_leq_subword(g, x, y)
 
 
@@ -80,7 +84,7 @@ def test_each_coset_has_unique_minimal_rep():
     g = WeylGroup(build_root_system("C", 2))
     q = ParabolicQuotient(g, {0})
     seen = {}
-    for x in g.elements:
+    for x in g.quotient(()).min_reps:
         rep = q.from_word(x.word)
         assert rep in q.pos
         assert rep.length <= x.length
@@ -101,6 +105,25 @@ def test_involution_reverses_quotient_order(label):
                 assert q.leq(x, y) == q.leq(
                     q.order_reversing_involution(y), q.order_reversing_involution(x)
                 )
+
+
+def _brute_bounds(q, x, y, upper):
+    """The maximal common lower bounds (or minimal common upper bounds) of
+    x and y, by scanning W^P, in the order of ``min_reps``."""
+    le = (lambda a, b: q.leq(b, a)) if upper else q.leq
+    common = [z for z in q.min_reps if le(z, x) and le(z, y)]
+    return [z for z in common if not any(t != z and le(z, t) for t in common)]
+
+
+@pytest.mark.parametrize(
+    "label,subset", [("A3", ()), ("B3", (2,)), ("D4", (1,)), ("G2", ())]
+)
+def test_bounds_match_brute_force(label, subset):
+    q = WeylGroup(build_root_system(label[0], int(label[1]))).quotient(subset)
+    for x in q.min_reps:
+        for y in q.min_reps:
+            assert q.max_lower_bounds((x, y)) == _brute_bounds(q, x, y, upper=False), (x, y)
+            assert q.min_upper_bounds((x, y)) == _brute_bounds(q, x, y, upper=True), (x, y)
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "A3", "C3", "D4"])
@@ -161,7 +184,7 @@ def test_min_lift_above_raises_without_a_least_lift():
     rs = build_root_system("A", 2)
     g = WeylGroup(rs)
     s1, s2 = g.simple
-    s1s2 = g.from_word((0, 1))
+    s1s2 = g.quotient(()).from_word((0, 1))
     for want_max in (False, True):
         assert extremal_scan(g.leq, [s1, s2], want_max) is None
     # s1 and s2 are both minimal; s1s2 lies above both
@@ -189,7 +212,7 @@ def test_deodhar_uniqueness_exhaustive(label, coords):
     ql = ParabolicQuotient(g, stabilizer_subset(rs, lam))
     ctx = StandardContext(g, (), (lam,))
     for x_class in ql.min_reps:
-        for w in g.elements:
+        for w in qp.min_reps:
             below = _lift_scan(g, qp, ql, x_class, w, above=False)
             got = _extremal_lift(g, qp, ql, x_class, w, above=False)
             if below:
@@ -223,7 +246,7 @@ def test_lift_examples():
     qp = ParabolicQuotient(g, set())
     s1 = g.simple[0]
     got = _extremal_lift(g, qp, ql, s1, g.w_o, above=False)
-    assert got == g.from_word((0, 1))  # s1.s2, the longer member of s1 W_lam
+    assert got == qp.from_word((0, 1))  # s1.s2, the longer member of s1 W_lam
 
 
 def test_word_round_trip():
@@ -239,26 +262,27 @@ def test_word_round_trip():
 def test_multiplication_tables(label):
     g = WeylGroup(build_root_system(label[0], int(label[1])))
     oracle = MatrixOracle(g)
-    m, pos = oracle.matrix, g.quotient(()).pos
-    for i, x in enumerate(g.elements):
+    borel = g.quotient(())
+    m, pos = oracle.matrix, borel.pos
+    for i, x in enumerate(borel.min_reps):
         assert pos[x] == i
         for j in range(g.rank):
-            assert m[pos[g.from_word((j,) + x.word)]] == mat_mul(oracle.simple[j], m[i])
-            assert m[pos[g.from_word(x.word + (j,))]] == mat_mul(m[i], oracle.simple[j])
-    for x in g.elements:
-        assert mat_mul(m[pos[g.from_word(x.word[::-1])]], m[pos[x]]) == m[pos[g.identity]]
-        for y in g.elements:
-            assert m[pos[g.mul(x, y)]] == mat_mul(m[pos[x]], m[pos[y]])
+            assert m[pos[borel.from_word((j,) + x.word)]] == mat_mul(oracle.simple[j], m[i])
+            assert m[pos[borel.from_word(x.word + (j,))]] == mat_mul(m[i], oracle.simple[j])
+    for x in borel.min_reps:
+        assert mat_mul(m[pos[borel.from_word(x.word[::-1])]], m[pos[x]]) == m[pos[g.identity]]
+        for y in borel.min_reps:
+            assert m[pos[borel.from_word(x.word + y.word)]] == mat_mul(m[pos[x]], m[pos[y]])
 
 
 @pytest.mark.parametrize("label", ["B3", "C3", "G2"])
 def test_equal_elements_of_separate_groups_agree(label):
     rs = build_root_system(label[0], int(label[1]))
     g1, g2 = WeylGroup(rs), WeylGroup(build_root_system(label[0], int(label[1])))
-    q1 = ParabolicQuotient(g1, set())
-    for i, (x1, x2) in enumerate(zip(g1.elements, g2.elements)):
+    q1, b1, b2 = ParabolicQuotient(g1, set()), g1.quotient(()), g2.quotient(())
+    for i, (x1, x2) in enumerate(zip(b1.min_reps, b2.min_reps)):
         assert x1 is not x2
         assert x1 == x2 and hash(x1) == hash(x2)
-        assert q1.pos[x2] == g2.quotient(()).pos[x1] == i
-        assert g1.from_word(x2.word[::-1]) == g2.from_word(x1.word[::-1])
+        assert q1.pos[x2] == b2.pos[x1] == i
+        assert b1.from_word(x2.word[::-1]) == b2.from_word(x1.word[::-1])
         assert q1.leq(x2, g2.w_o) and q1.leq(g2.identity, x2)

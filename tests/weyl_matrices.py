@@ -23,9 +23,9 @@ def mat_vec(m, v):
 
 class MatrixOracle:
     """Action matrices of every element of a WeylGroup, by position k in
-    ``group.elements``.
+    ``group.quotient(()).min_reps``.
 
-    ``pos`` maps an element to k, ``matrix[k]`` is its matrix, ``index``
+    ``elements[k]`` is the element, ``pos`` maps it to k, ``matrix[k]`` is its matrix, ``index``
     maps a matrix back to k, ``simple[i]`` is the matrix of s_i,
     ``reflection_id[beta]`` is the k of s_beta for a positive root's
     coordinates, and ``root_of`` inverts it.
@@ -44,8 +44,9 @@ class MatrixOracle:
             for i in range(n)
         ]
         self._by_word = {(): tuple(tuple(1 if k == j else 0 for j in range(n)) for k in range(n))}
-        self.pos = {x: k for k, x in enumerate(group.elements)}
-        self.matrix = [self.word_matrix(x.word) for x in group.elements]
+        self.elements = group.quotient(()).min_reps
+        self.pos = {x: k for k, x in enumerate(self.elements)}
+        self.matrix = [self.word_matrix(x.word) for x in self.elements]
         self.index = {m: i for i, m in enumerate(self.matrix)}
         assert len(self.index) == len(self.matrix), "two elements share a matrix"
 
@@ -155,6 +156,7 @@ def reduced_words(group, x):
     if x.length == 0:
         yield ()
         return
+    borel = group.quotient(())
     for j in right_descents(group, x):
-        for w in reduced_words(group, group.from_word(x.word + (j,))):
+        for w in reduced_words(group, borel.from_word(x.word + (j,))):
             yield w + (j,)
