@@ -91,17 +91,17 @@ def _parse_element(text: str, quot):
 
 
 def _parse_parabolic(text: str, rank: int) -> frozenset[int]:
-    text = (text or "none").strip().lower()
-    if text in ("none", "b", ""):
+    text = text.strip().lower()
+    if text in ("none", "b"):
         return frozenset()
     if text == "all":
         return frozenset(range(rank))
     try:
         idxs = frozenset(int(p) - 1 for p in text.split(","))
     except ValueError as exc:
-        raise UsageError(f"bad parabolic subset {text!r}") from exc
+        raise UsageError(f"bad --parabolic subset {text!r}") from exc
     if any(not 0 <= i < rank for i in idxs):
-        raise UsageError(f"parabolic subset {text!r} out of range")
+        raise UsageError(f"--parabolic subset {text!r} out of range")
     return idxs
 
 
@@ -169,7 +169,8 @@ def cmd_admissible(args) -> int:
 
 
 def cmd_smt(args) -> int:
-    for flag, text in (("--pair", args.pair), ("--union", args.union)):
+    given = (("--pair", args.pair), ("--union", args.union), ("--parabolic", args.parabolic))
+    for flag, text in given:
         if text is not None and not text.strip():
             raise UsageError(f"{flag} is empty")
     if args.union and (args.pair or args.verify_count or args.verify_filtration):
@@ -180,10 +181,10 @@ def cmd_smt(args) -> int:
     subset = _parse_parabolic(args.parabolic, rs.rank)
     ctx = StandardContext(group, subset, weights)
 
-    def parse_pair(text: str):
+    def parse_pair(text: str, flag: str):
         vt, _, wt = text.partition(":")
         if not wt:
-            raise UsageError(f"pair {text!r} must look like v:w")
+            raise UsageError(f"{flag} {text!r} must look like v:w")
         return ctx.pair(_parse_element(vt, ctx.quot), _parse_element(wt, ctx.quot))
 
     failures: list[str] = []
@@ -191,7 +192,7 @@ def cmd_smt(args) -> int:
     payload: dict = {"type": rs.cartan_type, "weights": [list(w.coords) for w in weights]}
 
     if args.union:
-        comps = [parse_pair(p) for p in args.union.split("+")]
+        comps = [parse_pair(p, "--union component") for p in args.union.split("+")]
         union = make_union(ctx.quot, comps)
         uc = ctx.count_on_union(union)
         payload["union"] = {
@@ -208,7 +209,7 @@ def cmd_smt(args) -> int:
             if uc.inclusion_exclusion != uc.count:
                 failures.append("union inclusion-exclusion mismatch")
     else:
-        pair = parse_pair(args.pair or "e:w0")
+        pair = parse_pair(args.pair or "e:w0", "--pair")
         monos = ctx.enumerate(pair)
         payload["pair"] = {"v": format_word(pair.v.word), "w": format_word(pair.w.word)}
         payload["monomials"] = [

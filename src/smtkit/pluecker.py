@@ -25,9 +25,13 @@ reproducible), applied to the n x r identity slab; each factor rewrites two
 rows.  Opposite Schubert varieties are sampled through the longest-element
 twist.  A sample computes its whole Plücker coordinate vector once, by a
 Laplace recursion planned per (n, r), so a chain's value is a product of
-lookups.  A rank check inserts rows one at a time into an echelon basis,
-evaluating each only when it is needed; the vanishing check reads
-coordinates, not chains.
+lookups.  A rank check inserts rows one at a time into an echelon basis
+whose rows are packed into one int each, with slots wide enough that
+clearing a pivot never carries between columns.  A row is built from the
+sample's coordinates by prefix products along the lexicographic chain
+order, and a point is drawn only when its row is read, so a check that
+reads no other coordinate (the top cell, or degree 0) stops drawing at
+full rank.  The vanishing check reads coordinates, not chains.
 """
 
 from __future__ import annotations
@@ -370,26 +374,43 @@ def schubert_point_sample(
 def rank_mod_p(rows, p: int) -> int:
     """Rank over F_p, inserting the rows one at a time into an echelon basis.
 
-    Each basis row is stored from its pivot on, scaled so the pivot is 1.  It
-    was reduced by every earlier basis row, so it vanishes at their pivots,
-    and reducing a new row in insertion order clears every pivot.  That
-    touches only the columns from each pivot on and takes the row mod p
-    once, at the end.  Stops once the rank reaches the column count.
+    A row is packed into one int, column 0 in the top slot, with
+    w = 2 * p.bit_length() + ncols.bit_length() + 1 bits per column.  Each
+    basis row is stored from its pivot on, scaled so the pivot is -1 and
+    reduced mod p, so clearing a pivot of a new row is one big-int
+    ``row += f * basis_row`` with f < p.  Every slot starts below p and gains
+    at most (p - 1)^2 per basis row, so it stays non-negative and below
+    p + ncols * p^2 < 2^w: no slot carries into the next.  A basis row was
+    reduced by every earlier one, so it vanishes mod p at their pivots, and
+    reducing a new row in insertion order clears every pivot.  The row is
+    unpacked (and taken mod p) once, to find its pivot and normalise it.
+    Stops once the rank reaches the column count.
     """
-    basis: list[tuple[int, list[int]]] = []  # (pivot, row[pivot:])
+    basis: list[tuple[int, int]] = []  # (shift of the pivot slot, row from its pivot on)
+    shifts = None
     for row in rows:
-        v = list(row)
-        for c, b in basis:
-            f = v[c] % p
+        if shifts is None:
+            ncols = len(row)
+            w = 2 * p.bit_length() + ncols.bit_length() + 1
+            mask = (1 << w) - 1
+            shifts = [w * c for c in range(ncols - 1, -1, -1)]
+        v = 0
+        for x in row:
+            v = v << w | x % p
+        for s, b in basis:
+            f = (v >> s & mask) % p
             if f:
-                v[c:] = [x - f * y for x, y in zip(v[c:], b)]
-        v = [x % p for x in v]
+                v += f * b
+        v = [(v >> s & mask) % p for s in shifts]
         piv = next((c for c, x in enumerate(v) if x), None)
         if piv is None:
             continue
-        inv = pow(v[piv], p - 2, p)
-        basis.append((piv, [x * inv % p for x in v[piv:]]))
-        if len(basis) == len(v):
+        neg_inv = p - pow(v[piv], -1, p)
+        b = 0
+        for x in v[piv:]:
+            b = b << w | x * neg_inv % p
+        basis.append((shifts[piv], b))
+        if len(basis) == ncols:
             break
     return len(basis)
 
@@ -419,6 +440,22 @@ def verify_hodge_i(
     return verify_hodge_iii(top, r, n, m, seeds=seeds, num_samples=num_samples)
 
 
+def _chain_plan(I: PlueckerIndex, r: int, n: int, m: int):
+    """Per degree j = 1..m, the degree-j standard chains on X_I in
+    lexicographic order, each as (position of its degree-(j - 1) prefix,
+    position of its last index in all_indices); and the degree-m count k.
+    The prefix of a chain on X_I is on X_I, so the degree-m chains come out
+    in the order of standard_monomials_grassmann."""
+    below = [(c, J) for c, J in enumerate(all_indices(r, n)) if index_leq(J, I)]
+    lasts = [tuple(range(1, r + 1))]  # the empty chain, below every index
+    steps = []
+    for _ in range(m):
+        step = [(a, c, J) for a, last in enumerate(lasts) for c, J in below if index_leq(last, J)]
+        steps.append(tuple((a, c) for a, c, _J in step))
+        lasts = [J for _a, _c, J in step]
+    return tuple(steps), len(lasts)
+
+
 def verify_hodge_iii(
     I,
     r: int,
@@ -435,28 +472,45 @@ def verify_hodge_iii(
     coordinates, not chains: over a field a chain is zero iff one of its
     coordinates is, and (J, ..., J) is off X_I for each J not <= I, so in
     degree m >= 1 every off-X_I chain vanishes at a point iff every such p_J
-    does.  Each seed draws all num_samples points, but builds a point's row
-    of on-X_I values only when rank_mod_p reads it, i.e. until the rank
-    reaches k.
+    does.  A point's row of on-X_I values is built by prefix products (one
+    multiply per prefix, read from its coordinates) only when rank_mod_p
+    reads it, and the point is drawn then too, in the seed's order.  When
+    there is no off-X_I coordinate (the top cell, or degree 0) nothing else
+    reads the points, so a seed stops drawing once the rank reaches k;
+    otherwise it draws the rest of its num_samples points and checks them all.
     """
     I = _check_index(I, r, n)
-    on_X = [ch for ch in standard_monomials_grassmann(r, n, m) if m == 0 or index_leq(ch[-1], I)]
+    steps, k = _chain_plan(I, r, n, m)
     off_X = [J for J in all_indices(r, n) if not index_leq(J, I)] if m else []
-    k = len(on_X)
     if num_samples is None:
         num_samples = 2 * k + 4
+    p = MERSENNE_PRIME
+
+    def rows(rng, points):
+        while len(points) < num_samples:
+            pt = schubert_point_sample(I, r, n, rng)
+            points.append(pt)
+            coords = list(pt.coords.values())  # keyed in all_indices order
+            row = [1]
+            for step in steps:
+                row = [row[a] * coords[c] % p for a, c in step]
+            yield row
+
     ranks = []
     vanish_ok = True
     passed_rank = False
     for seed in seeds:
         rng = random.Random(seed)
-        points = [schubert_point_sample(I, r, n, rng) for _ in range(num_samples)]
-        rank = rank_mod_p(([pt.chain_value(ch) for ch in on_X] for pt in points), MERSENNE_PRIME)
+        points: list[PointSample] = []
+        rank = rank_mod_p(rows(rng, points), p)
         ranks.append((seed, rank))
         if rank == k:
             passed_rank = True
-        for pt in points:
-            if any(pt.plucker(J) for J in off_X):
+        if off_X:
+            points += [
+                schubert_point_sample(I, r, n, rng) for _ in range(num_samples - len(points))
+            ]
+            if any(pt.plucker(J) for pt in points for J in off_X):
                 vanish_ok = False
     return RankReport(passed_rank and vanish_ok, k, tuple(ranks), vanish_ok)
 

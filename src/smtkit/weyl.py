@@ -16,7 +16,10 @@ A step costs O(n): s_j(mu) = mu - mu_j alpha_j.  Everything else is read
 off points.  The coset x W_P is named by x(rho_P), so ``from_word`` folds
 a word on rho_P and looks the point up; ``lifts`` groups the members of W^P
 by their point x(rho_lam) in a coarser quotient; ``orbit`` steps along the
-parent chain; and the order-reversing involution is w_o(x(rho_P)).  A quotient costs O(|W^P|), never O(|W|).
+parent chain; and the order-reversing involution is w_o(x(rho_P)), where
+w_o(mu) = -sigma(mu) for the diagram involution sigma, read once per group,
+on first use, from w_o(omega_i) = -omega_{sigma(i)}.  A quotient costs
+O(|W^P|), never O(|W|).
 
 ``WeylGroup`` is a cheap handle on the root system: the identity, the simple
 reflections and w_o, whose word is peeled off the point -rho.  All of W is
@@ -156,6 +159,16 @@ class WeylGroup:
     @functools.cached_property
     def _borel(self) -> ParabolicQuotient:
         return self.quotient(())
+
+    @functools.cached_property
+    def _wo_sigma(self) -> tuple[int, ...]:
+        """The diagram involution sigma with w_o(omega_i) = -omega_{sigma(i)},
+        so that w_o(mu)_j = -mu_{sigma(j)}; read on first use."""
+        n = self.rank
+        return tuple(
+            _act(self._alphas, self.w_o.word, tuple(int(j == i) for j in range(n))).index(-1)
+            for i in range(n)
+        )
 
     def __len__(self) -> int:
         return len(self._borel)
@@ -303,10 +316,10 @@ class ParabolicQuotient:
         return self.min_reps[-1]
 
     def order_reversing_involution(self, w: WeylElement) -> WeylElement:
-        """The map w -> w_o w w_{o,P}, read off the point w_o(w(rho_P));
-        lands back in W^P and reverses <=."""
+        """The map w -> w_o w w_{o,P}, read off the point w_o(w(rho_P)) =
+        -sigma(w(rho_P)); lands back in W^P and reverses <=."""
         mu = self._points[self.pos[w]]
-        return self.min_reps[self._at[_act(self.group._alphas, self.group.w_o.word, mu)]]
+        return self.min_reps[self._at[tuple(-mu[i] for i in self.group._wo_sigma)]]
 
     def max_lower_bounds(self, xs) -> list[WeylElement]:
         leq = self.leq

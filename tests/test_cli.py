@@ -217,6 +217,31 @@ def test_usage_errors(capsys):
         code, out, err = run(capsys, "smt", "--type", "A2", "--weights", "1,0", flag, "")
         assert (code, out) == (2, "")
         assert err == f"error: {flag} is empty\n"
+    # an empty --parabolic is refused, not read as the Borel case
+    for parabolic, message in [
+        ("", "--parabolic is empty"),
+        (" ", "--parabolic is empty"),
+        ("1,x", "bad --parabolic subset '1,x'"),
+        ("3", "--parabolic subset '3' out of range"),
+    ]:
+        code, out, err = run(
+            capsys, "smt", "--type", "A2", "--parabolic", parabolic, "--weights", "1,1",
+            "--pair", "e:w0",
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "flag, text, message",
+    [
+        ("--pair", "s1", "--pair 's1' must look like v:w"),
+        ("--union", "e:s1+", "--union component '' must look like v:w"),
+        ("--union", "s1+e:s1", "--union component 's1' must look like v:w"),
+    ],
+)
+def test_malformed_smt_pair_names_its_flag(capsys, flag, text, message):
+    code, out, err = run(capsys, "smt", "--type", "A2", "--weights", "1,0", flag, text)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_hodge_chain_cap_admits_gr36_degree2(capsys):
@@ -281,14 +306,16 @@ def test_hodge_work_cap_admits(r, n, degree):
 # straighten --verify-hodge --json, three seeds: the draws of
 # schubert_point_sample and the sha256 of stdout.  The sweep's check on
 # X_top = Gr(r, n) is the Hodge-I check of its degree, and its report is
-# reused; checking it anew would draw 240, 552, 492, 180 and 2616 points for
-# the same bytes.  At degree 0 there is no Hodge-I report to reuse.
+# reused; checking it anew would draw 180, 378, 408, 30 and 1713 points for
+# the same bytes.  At degree 0 there is no Hodge-I report to reuse.  A check
+# with no off-X_I coordinate (the top cell, or degree 0) draws only the k
+# points its rank reaches k on, per seed; any other draws 2k + 4 per seed.
 HODGE_SWEEPS = [
-    ("2,4", 1, 192, "3dd5a8fc84fb9abc53f9c47578215aed77847713c58f7fe119bdc36f0ed97a07"),
-    ("2,4", 2, 420, "024de4e6c75cc4f739874369f9bc3eebeb577f574ba98d65fd041f5a62c370ea"),
-    ("3,5", 1, 420, "907f8dafcde26463685643a98f82ca142a19ce4b8f0b67074c327d0d30e3c0a8"),
-    ("2,5", 0, 180, "c3c309c3d9a7f471d133f5c096c36fd90f9da0f7f109d91a82e759dd3202c864"),
-    ("2,5", 3, 2304, "e13b8fbad5612a43a7e690557cf2539dbd4960c2ddfa74c3328055992d5bfea6"),
+    ("2,4", 1, 162, "3dd5a8fc84fb9abc53f9c47578215aed77847713c58f7fe119bdc36f0ed97a07"),
+    ("2,4", 2, 318, "024de4e6c75cc4f739874369f9bc3eebeb577f574ba98d65fd041f5a62c370ea"),
+    ("3,5", 1, 378, "907f8dafcde26463685643a98f82ca142a19ce4b8f0b67074c327d0d30e3c0a8"),
+    ("2,5", 0, 30, "c3c309c3d9a7f471d133f5c096c36fd90f9da0f7f109d91a82e759dd3202c864"),
+    ("2,5", 3, 1563, "e13b8fbad5612a43a7e690557cf2539dbd4960c2ddfa74c3328055992d5bfea6"),
 ]
 
 

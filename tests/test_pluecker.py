@@ -519,6 +519,23 @@ def test_rank_equals_column_elimination_on_sparse_rows(p):
         assert rank_mod_p(m, p) == _oracle_rank_mod_p(m, p)
 
 
+@pytest.mark.parametrize("p", [MERSENNE_PRIME, 7])
+def test_rank_at_the_cli_chain_cap(p):
+    # 200 columns, as many as a CLI Hodge check may have: a slot of a packed
+    # row gains up to (p - 1)^2 per basis row, so its width must grow with the
+    # column count, and a carry between slots would change the rank
+    from smtkit.cli import HODGE_CHAIN_CAP
+
+    cols = HODGE_CHAIN_CAP
+    assert rank_mod_p([[p - 1] * cols] * 3, p) == 1
+    rows = [[p - 1] * cols] + [[p - 1] * c + [0] * (cols - c) for c in range(1, 40)]
+    assert rank_mod_p(rows, p) == _oracle_rank_mod_p(rows, p) == 40
+    rng = random.Random(13)
+    for rows, rank in [(30, 20), (60, 40), (60, 59)]:
+        m = _planted_rank_matrix(rng, rows, cols, rank, p)
+        assert rank_mod_p(m, p) == _oracle_rank_mod_p(m, p)
+
+
 def test_point_sample_hashable_and_equal_by_matrix():
     a = schubert_point_sample((2, 4), 2, 4, random.Random(1))
     b = schubert_point_sample((2, 4), 2, 4, random.Random(1))
@@ -591,7 +608,8 @@ def test_hodge_iii_equals_eager_reference_on_gr25(I):
         assert rep == eager_hodge_report(I, 2, 5, 2, seeds=SEEDS, num_samples=num_samples)
 
 
-@pytest.mark.parametrize("r,n,m", HODGE_DEGREES)
+# degree 4 builds rows through four prefix steps
+@pytest.mark.parametrize("r,n,m", HODGE_DEGREES + [(2, 4, 4)])
 def test_hodge_i_equals_eager_reference(r, n, m):
     top = tuple(range(n - r + 1, n + 1))
     rep = verify_hodge_i(r, n, m, seeds=SEEDS)
@@ -628,6 +646,52 @@ def test_every_sample_is_checked_for_vanishing(monkeypatch):
     assert not rep.passed
     assert list(calls.values()) == [num_samples] * len(SEEDS)
     assert rep.ranks_by_seed[0][1] == rep.expected_rank < num_samples
+
+
+@pytest.mark.parametrize(
+    "I, r, n, m",
+    [((3, 4), 2, 4, 1), ((3, 4), 2, 4, 3), ((4, 5, 6), 3, 6, 1), ((4, 5), 2, 5, 2),
+     ((1, 3), 2, 4, 0), ((4, 5), 2, 5, 0)],
+    ids=["top-2,4-1", "top-2,4-3", "top-3,6-1", "top-2,5-2", "13-2,4-0", "top-2,5-0"],
+)
+def test_each_seed_draws_only_the_points_it_reads(monkeypatch, I, r, n, m):
+    """With no off-X_I coordinate (the top cell, or degree 0) only the rank
+    reads the points, so a seed draws one per row that rank_mod_p reads: k
+    points when the rank reaches k at the k-th point, all num_samples when it
+    falls short."""
+    import smtkit.pluecker as pl
+
+    real_sample, real_rank = pl.schubert_point_sample, pl.rank_mod_p
+    draws: dict = {}
+    reads: list = []
+
+    def sample(J, r, n, rng):
+        draws[rng] = draws.get(rng, 0) + 1
+        return real_sample(J, r, n, rng)
+
+    def rank(rows, p):
+        counted = []
+
+        def counting():
+            for row in rows:
+                counted.append(row)
+                yield row
+
+        out = real_rank(counting(), p)
+        reads.append(len(counted))
+        return out
+
+    monkeypatch.setattr(pl, "schubert_point_sample", sample)
+    monkeypatch.setattr(pl, "rank_mod_p", rank)
+    rep = verify_hodge_iii(I, r, n, m, seeds=SEEDS)
+    k = rep.expected_rank
+    assert rep.passed and rep.ranks_by_seed == tuple((seed, k) for seed in SEEDS)
+    assert list(draws.values()) == reads == [k] * len(SEEDS)
+    draws.clear()
+    reads.clear()
+    short = verify_hodge_iii(I, r, n, m, seeds=SEEDS, num_samples=k - 1)
+    assert reads == [k - 1] * len(SEEDS) and sum(draws.values()) == (k - 1) * len(SEEDS)
+    assert not short.passed
 
 
 def _top_cell_at_last_sample(real, top, num_samples):

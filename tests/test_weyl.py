@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from smtkit.rootdata import build_root_system
@@ -105,6 +107,29 @@ def test_involution_reverses_quotient_order(label):
                 assert q.leq(x, y) == q.leq(
                     q.order_reversing_involution(y), q.order_reversing_involution(x)
                 )
+
+
+# every parabolic quotient of these groups, plus F4's Borel quotient and
+# E6's W^{omega_1}
+INVOLUTION_GROUPS = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+                     ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("G", 2)]
+
+
+@pytest.mark.parametrize(
+    "family, rank, subsets",
+    [(f, r, None) for f, r in INVOLUTION_GROUPS] + [("F", 4, [()]), ("E", 6, [range(1, 6)])],
+    ids=[f"{f}{r}" for f, r in INVOLUTION_GROUPS] + ["F4-borel", "E6-omega1"],
+)
+def test_involution_equals_word_fold(family, rank, subsets):
+    g = WeylGroup(build_root_system(family, rank))
+    if subsets is None:
+        subsets = [s for k in range(rank + 1) for s in itertools.combinations(range(rank), k)]
+    for subset in subsets:
+        q = g.quotient(subset)
+        for w in q.min_reps:
+            # w_o(w(rho_P)), folding all of w_o's word over the point
+            want = q.from_word(g.w_o.word + w.word)
+            assert q.order_reversing_involution(w) == want, (subset, w)
 
 
 def _brute_bounds(q, x, y, upper):
